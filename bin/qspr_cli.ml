@@ -55,7 +55,7 @@ let gate_on_fabric_lint ~program fabric =
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
 
 let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed prescreen_k
-    budget_s budget_evals incremental show_trace validate certify json_out =
+    budget_s budget_evals incremental show_trace certify json_out =
   let ( let* ) = Result.bind in
   let result =
     let* program = load_program ~circuit ~qasm ~openqasm in
@@ -91,21 +91,9 @@ let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed pre
         |> match incremental with Some b -> with_incremental b | None -> Fun.id)
     in
     let* ctx = Qspr.Mapper.create ~fabric ~config program in
+    let* kind = Qspr.Placer_kind.resolve ~allowed:Qspr.Placer_kind.all placer in
     let* sol =
-      Result.map_error Qspr.Mapper.error_to_string
-        (match placer with
-        | "mvfb" -> Qspr.Mapper.map_mvfb ?prescreen_k ctx
-        | "mc" -> Qspr.Mapper.map_monte_carlo ~runs:m ?prescreen_k ctx
-        | "sa" -> Qspr.Mapper.map_annealing ~evaluations:m ?prescreen_k ctx
-        | "portfolio" -> Qspr.Mapper.map_portfolio ~m ctx
-        | "center" -> Qspr.Mapper.map_center ctx
-        | "quale" -> Qspr.Quale_mode.map ctx
-        | "robust" -> Qspr.Mapper.map_robust ctx
-        | other ->
-            Error
-              (Qspr.Mapper.Invalid
-                 (Printf.sprintf "unknown placer %s (mvfb|mc|sa|portfolio|center|quale|robust)"
-                    other)))
+      Result.map_error Qspr.Mapper.error_to_string (Qspr.Placer_kind.map ?prescreen_k kind ctx)
     in
     let baseline = Qspr.Mapper.ideal_latency ctx in
     Printf.printf "circuit           : %s (%d qubits, %d gates)\n" program.Qasm.Program.name
@@ -138,31 +126,10 @@ let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed pre
                 (Qspr.Mapper.error_to_string e))
         sol.Qspr.Mapper.attempts
     end;
-    if validate then begin
-      let policy =
-        if placer = "quale" then (Qspr.Mapper.config ctx).Qspr.Config.quale_policy
-        else (Qspr.Mapper.config ctx).Qspr.Config.qspr_policy
-      in
-      let report =
-        Simulator.Validate.check ~graph:(Qspr.Mapper.graph ctx)
-          ~timing:(Qspr.Mapper.config ctx).Qspr.Config.timing
-          ~channel_capacity:policy.Simulator.Engine.channel_capacity
-          ~junction_capacity:policy.Simulator.Engine.junction_capacity
-          ~initial_placement:sol.Qspr.Mapper.initial_placement sol.Qspr.Mapper.trace
-      in
-      if report.Simulator.Validate.ok then Printf.printf "validation        : OK\n"
-      else begin
-        Printf.printf "validation        : FAILED\n";
-        List.iter (Printf.printf "  %s\n") report.Simulator.Validate.errors
-      end
-    end;
     let* () =
       if not certify then Ok ()
       else begin
-        let policy =
-          if placer = "quale" then (Qspr.Mapper.config ctx).Qspr.Config.quale_policy
-          else (Qspr.Mapper.config ctx).Qspr.Config.qspr_policy
-        in
+        let policy = Qspr.Placer_kind.policy kind (Qspr.Mapper.config ctx) in
         let cert = Analysis.Certify.of_solution ~policy ctx sol in
         Format.printf "%a@." Analysis.Certify.pp cert;
         if cert.Analysis.Certify.valid then Ok ()
@@ -269,7 +236,6 @@ let sa_moves_arg =
            20000).  Used by the portfolio placer's delta-SA streams.")
 let seed_arg = Arg.(value & opt int 2012 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Print the micro-command trace.")
-let validate_arg = Arg.(value & flag & info [ "validate" ] ~doc:"Run the physical trace validator.")
 
 let certify_arg =
   Arg.(
@@ -288,7 +254,7 @@ let map_cmd =
     Term.(
       const do_map $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ pmd_arg $ placer_arg $ m_arg
       $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg $ incremental_arg
-      $ trace_arg $ validate_arg $ certify_arg $ json_arg)
+      $ trace_arg $ certify_arg $ json_arg)
 
 (* --------------------------------------------------------------- fabric *)
 
@@ -508,20 +474,12 @@ let do_audit circuit qasm openqasm fabric_path pmd_path placer m seed exact node
               let result =
                 let ( let* ) = Result.bind in
                 let* ctx = Qspr.Mapper.create ~fabric ~config program in
+                (* the auditor bounds QSPR mappings; the QUALE comparator is not offered *)
+                let* kind =
+                  Qspr.Placer_kind.(resolve ~allowed:(List.filter (( <> ) Quale) all)) placer
+                in
                 let* sol =
-                  Result.map_error Qspr.Mapper.error_to_string
-                    (match placer with
-                    | "mvfb" -> Qspr.Mapper.map_mvfb ctx
-                    | "mc" -> Qspr.Mapper.map_monte_carlo ~runs:m ctx
-                    | "sa" -> Qspr.Mapper.map_annealing ~evaluations:m ctx
-                    | "portfolio" -> Qspr.Mapper.map_portfolio ~m ctx
-                    | "center" -> Qspr.Mapper.map_center ctx
-                    | "robust" -> Qspr.Mapper.map_robust ctx
-                    | other ->
-                        Error
-                          (Qspr.Mapper.Invalid
-                             (Printf.sprintf
-                                "unknown placer %s (mvfb|mc|sa|portfolio|center|robust)" other)))
+                  Result.map_error Qspr.Mapper.error_to_string (Qspr.Placer_kind.map kind ctx)
                 in
                 Ok (Analysis.Bound.audit ~exact ?node_budget ctx sol)
               in

@@ -35,7 +35,7 @@ type kind = Critical_path | Serialization | Capacity | Placement | Exact
 val kind_to_string : kind -> string
 (** ["critical-path"], ["serialization"], ["capacity"], ["placement"],
     ["exact"] — the wire encoding used by qspr-certificate/2 and
-    qspr-result/2. *)
+    qspr-result/3. *)
 
 val kind_of_string : string -> kind option
 

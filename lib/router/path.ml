@@ -182,7 +182,7 @@ let resource_index t r =
    next one: the exit time is the completion of the first edge that leaves
    the resource (turn edges keep the qubit inside its junction).  Releasing
    at arrival instead would free a junction while the ion still sits in it
-   turning — a capacity violation the trace validator catches.
+   turning — a capacity violation the trace certifier catches.
 
    [out.(i)] receives the exit offset of [resource t i]; a revisited
    resource keeps its LAST exit (matching the pre-flattening table-replace

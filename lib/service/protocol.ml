@@ -147,11 +147,10 @@ let encode_job j =
     @ opt "deadline_ms" j.deadline_ms (fun f -> Json.Float f))
 
 let decode_job json =
-  (* /1 requests (no deadline_ms) remain valid /2 requests *)
   let* _ =
     match field_str "schema" json with
     | Error _ as e -> e
-    | Ok ("qspr-job/1" | "qspr-job/2") as ok -> ok
+    | Ok "qspr-job/2" as ok -> ok
     | Ok s -> Error (Printf.sprintf "expected schema qspr-job/2, got %s" s)
   in
   let* id = field_str "id" json in
@@ -308,11 +307,10 @@ let decode_list name f json =
   | None -> Error (Printf.sprintf "missing field %S" name)
 
 let decode_response json =
-  (* accept /1 (no bound fields, defaulted below) and /2 *)
   let* _ =
     match field_str "schema" json with
     | Error _ as e -> e
-    | Ok ("qspr-result/1" | "qspr-result/2" | "qspr-result/3") as ok -> ok
+    | Ok "qspr-result/3" as ok -> ok
     | Ok s -> Error (Printf.sprintf "expected schema qspr-result/3, got %s" s)
   in
   let* job_id = field_str "id" json in

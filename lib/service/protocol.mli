@@ -1,11 +1,11 @@
 (** The line-delimited JSON wire protocol of [qspr serve].
 
-    One request per line (schema ["qspr-job/2"]; /1 requests — the same
-    shape without [deadline_ms] — are still decoded), one response per
-    line (schema ["qspr-result/3"]).  Requests are pure data — circuit, fabric,
-    seed, placer, budgets — and every response is a pure function of its
-    request and the service configuration: per-request seeds make responses
-    bit-reproducible, so identical requests are end-to-end cacheable.
+    One request per line (schema ["qspr-job/2"]), one response per line
+    (schema ["qspr-result/3"]); decoders refuse every other version.
+    Requests are pure data — circuit, fabric, seed, placer, budgets — and
+    every response is a pure function of its request and the service
+    configuration: per-request seeds make responses bit-reproducible, so
+    identical requests are end-to-end cacheable.
 
     Two response sections are {e observability, not results}: the [cache]
     counters (warm-table hits vary with what ran before) and [cpu_s].

@@ -173,7 +173,7 @@ let fabric_key t layout =
   let tc = Router.Timing.turn_cost_in_moves t.base.Qspr.Config.timing in
   fnv1a64 (Printf.sprintf "%.17g|%s" tc (Fabric.Layout.to_ascii layout))
 
-let allowed_placers = [ "portfolio"; "mvfb"; "mc"; "sa"; "center"; "robust" ]
+let allowed_placers = Qspr.Placer_kind.[ Portfolio; Mvfb; Mc; Sa; Center; Robust ]
 
 let resolve_circuit ~id = function
   | Protocol.Builtin name -> (
@@ -219,6 +219,7 @@ let entry_for t layout =
    private route cache whose counters become the response's cache section. *)
 type prepared = {
   p_job : Protocol.job;
+  p_kind : Qspr.Placer_kind.t;
   p_entry : fabric_entry;
   p_ctx : Qspr.Mapper.t;
   p_cache : Route_cache.t;
@@ -277,12 +278,9 @@ let cache_store t job response =
    depend only on upstream admission order, never on worker timing), and
    is advanced here exactly once per such job. *)
 let admit t ~slot (job : Protocol.job) =
-  if not (List.mem job.Protocol.placer allowed_placers) then
-    Refuse
-      (reject ~stage:"request"
-         (Printf.sprintf "unknown placer %s (%s)" job.Protocol.placer
-            (String.concat "|" allowed_placers)))
-  else begin
+  match Qspr.Placer_kind.resolve ~allowed:allowed_placers job.Protocol.placer with
+  | Error reason -> Refuse (reject ~stage:"request" reason)
+  | Ok kind -> begin
     (* the deadline tier: arm the request's end-to-end budget first — a
        request that arrives already out of time is refused before any
        lint/estimation work is spent on it *)
@@ -379,6 +377,7 @@ let admit t ~slot (job : Protocol.job) =
                                     Run
                                       {
                                         p_job = job;
+                                        p_kind = kind;
                                         p_entry = entry;
                                         p_ctx = ctx;
                                         p_cache = cache;
@@ -407,19 +406,11 @@ let attempts_of = function
    estimated, only the top 2 are routed — the cheap end of the placer
    spectrum that still searches); [Budgeted] routes exactly one
    deterministic center placement. *)
-let map_with_placer (job : Protocol.job) rung ctx =
+let map_with_placer kind rung ctx =
   match rung with
   | Prescreen -> Qspr.Mapper.map_mvfb ~jobs:1 ~prescreen_k:2 ctx
   | Budgeted -> Qspr.Mapper.map_center ctx
-  | Full | Quote_only | Refused -> (
-      match job.Protocol.placer with
-      | "mvfb" -> Qspr.Mapper.map_mvfb ~jobs:1 ctx
-      | "mc" ->
-          Qspr.Mapper.map_monte_carlo ~runs:(Qspr.Mapper.config ctx).Qspr.Config.m ~jobs:1 ctx
-      | "sa" -> Qspr.Mapper.map_annealing ~jobs:1 ctx
-      | "center" -> Qspr.Mapper.map_center ctx
-      | "robust" -> Qspr.Mapper.map_robust ~jobs:1 ctx
-      | _ -> Qspr.Mapper.map_portfolio ~jobs:1 ctx)
+  | Full | Quote_only | Refused -> Qspr.Placer_kind.map ~jobs:1 kind ctx
 
 (* Runs on a worker domain: map, certify, return pure data.  The private
    route cache's counters are read on the main domain after the wave.
@@ -443,7 +434,7 @@ let run_one p =
         ]
   in
   let verdict =
-    match map_with_placer p.p_job p.p_rung p.p_ctx with
+    match map_with_placer p.p_kind p.p_rung p.p_ctx with
     | Error e ->
         Protocol.Failed
           {

@@ -2,9 +2,8 @@
 
     The specialization the router's hot loop needs: priorities and payloads
     live in two parallel unboxed arrays, so pushing and popping allocate
-    nothing once the heap has warmed up (unlike {!Pqueue}, which boxes a
-    tuple per entry).  Peeking is split into {!top_prio}/{!top_data} for the
-    same reason.
+    nothing once the heap has warmed up.  Peeking is split into
+    {!top_prio}/{!top_data} for the same reason.
 
     The representation is exposed for the same reason {!Router.Workspace}
     exposes its arrays: without flambda, a [float] crossing a function

@@ -1,7 +1,7 @@
 (** Minimal JSON document construction, serialization and parsing.
 
     The experiment and mapper results are exported as JSON for downstream
-    tooling, and the service protocol (qspr-job/1 / qspr-result/1) reads
+    tooling, and the service protocol (qspr-job/2 / qspr-result/3) reads
     line-delimited JSON back in; this is the small, dependency-free
     emitter and parser behind both. *)
 

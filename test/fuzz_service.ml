@@ -30,7 +30,7 @@ let job_seeds () =
                    ~deadline_ms:1000.0 ~fabric:"T-T" (Builtin "[[7,1,3]]"));
     job_to_line (make_job ~id:"qasm" (Inline_qasm (List.nth qasm_seeds 0)));
     job_to_line (make_job ~id:"deep" ~placer:"center" (Inline_qasm (List.nth qasm_seeds 1)));
-    {|{"schema":"qspr-job/1","id":"v1","circuit":{"builtin":"[[5,1,3]]"}}|};
+    {|{"schema":"qspr-job/2","id":"v1","circuit":{"builtin":"[[5,1,3]]"}}|};
     {|{"schema":"qspr-job/2","id":"v2","circuit":{"builtin":"[[5,1,3]]"},"deadline_ms":0.001}|};
   ]
 
@@ -137,7 +137,7 @@ let () =
   let resp_seeds =
     [|
       {|{"schema":"qspr-result/3","id":"x","status":"ok","quote_us":1.0,"latency_us":1.0,"lower_bound_us":1.0,"bound_kind":"critical-path","placement_runs":1,"engine_evals":1,"degraded":false,"direction":"forward","shed":"none","certificate":{"digest":"0","valid":true},"attempts":[]}|};
-      {|{"schema":"qspr-result/2","id":"y","status":"rejected","stage":"lint","reason":"r","findings":[]}|};
+      {|{"schema":"qspr-result/3","id":"y","status":"rejected","stage":"lint","reason":"r","findings":[]}|};
     |]
   in
   for i = 0 to (!iterations / 4) - 1 do

@@ -1,5 +1,5 @@
 (* Engine fuzzing: random circuits, random placements and both policy
-   presets, checked against the independent physical trace validator and the
+   presets, checked against the independent trace certifier and the
    engine's own invariants.  This is the deepest correctness net in the
    suite — any scheduling, routing, capacity or bookkeeping bug the unit
    tests miss tends to surface here. *)
@@ -68,18 +68,20 @@ let run_case (p, seed, quale) =
 let prop_traces_validate =
   QCheck.Test.make ~name:"fuzz: every engine trace passes physical validation" ~count:150 arb_case
     (fun case ->
+      let p, _, _ = case in
       let placement, policy, result = run_case case in
       match result with
       | Error e -> QCheck.Test.fail_reportf "engine failed: %s" (Engine.string_of_error e)
       | Ok r ->
-          let report =
-            Validate.check ~graph:fuzz_graph ~timing:Timing.paper
+          let cert =
+            Analysis.Certify.check ~layout:fuzz_layout ~timing:Timing.paper
               ~channel_capacity:policy.Engine.channel_capacity
-              ~junction_capacity:policy.Engine.junction_capacity ~initial_placement:placement
-              r.Engine.trace
+              ~junction_capacity:policy.Engine.junction_capacity ~dag:(Dag.of_program p)
+              ~initial_placement:placement ~final_placement:r.Engine.final_placement
+              ~claimed_latency:r.Engine.latency r.Engine.trace
           in
-          if report.Validate.ok then true
-          else QCheck.Test.fail_reportf "invalid trace:\n%s" (String.concat "\n" report.Validate.errors))
+          if cert.Analysis.Certify.valid then true
+          else QCheck.Test.fail_reportf "trace not certified:\n%a" Analysis.Certify.pp cert)
 
 let prop_latency_at_least_baseline =
   QCheck.Test.make ~name:"fuzz: mapped latency >= ideal baseline" ~count:150 arb_case (fun case ->

@@ -90,18 +90,34 @@ let test_solution_trace_validates () =
   match Mapper.map_mvfb ctx with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
-      let report =
-        Simulator.Validate.check ~graph:(Mapper.graph ctx) ~timing:Router.Timing.paper
-          ~channel_capacity:2 ~junction_capacity:2 ~initial_placement:sol.Mapper.initial_placement
-          sol.Mapper.trace
-      in
-      if not report.Simulator.Validate.ok then
-        Alcotest.failf "winning trace invalid (direction %s):\n%s"
+      let cert = Analysis.Certify.of_solution ctx sol in
+      if not cert.Analysis.Certify.valid then
+        Alcotest.failf "winning trace not certified (direction %s):\n%a"
           (match sol.Mapper.direction with Placer.Mvfb.Forward -> "fwd" | Placer.Mvfb.Backward -> "bwd")
-          (String.concat "\n" report.Simulator.Validate.errors)
+          Analysis.Certify.pp cert
 
 (* Force evaluation of a backward trace: run the backward pass directly and
-   validate its reversal from the appropriate placement. *)
+   certify its reversal from the appropriate placement.  The backward run
+   executes the UIDG, whose k-th gate is the (G-1-k)-th forward gate
+   (declarations keep their ids); the reversal is certified against the
+   forward program after renaming its gate events accordingly. *)
+let forward_gate_ids dag trace =
+  let gates d =
+    List.filter (fun i -> Qasm.Instr.is_gate (Qasm.Dag.node d i).Qasm.Dag.instr)
+      (List.init (Qasm.Dag.num_nodes d) Fun.id)
+    |> Array.of_list
+  in
+  let udag = match Qasm.Dag.reverse dag with Ok u -> u | Error e -> Alcotest.fail e in
+  let fg = gates dag and ug = gates udag in
+  let id = Array.init (Qasm.Dag.num_nodes udag) Fun.id in
+  Array.iteri (fun k u -> id.(u) <- fg.(Array.length fg - 1 - k)) ug;
+  List.map
+    (function
+      | Router.Micro.Gate_start g -> Router.Micro.Gate_start { g with instr_id = id.(g.instr_id) }
+      | Router.Micro.Gate_end g -> Router.Micro.Gate_end { g with instr_id = id.(g.instr_id) }
+      | cmd -> cmd)
+    trace
+
 let test_backward_trace_reversed_validates () =
   let ctx = ctx_of (c513 ()) in
   let fwd =
@@ -114,14 +130,18 @@ let test_backward_trace_reversed_validates () =
     | Ok r -> r
     | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
   in
-  let reversed = Simulator.Trace.reverse bwd.Simulator.Engine.trace in
-  let report =
-    Simulator.Validate.check ~graph:(Mapper.graph ctx) ~timing:Router.Timing.paper ~channel_capacity:2
-      ~junction_capacity:2 ~initial_placement:bwd.Simulator.Engine.final_placement reversed
+  let reversed =
+    forward_gate_ids (Mapper.dag ctx) (Simulator.Trace.reverse bwd.Simulator.Engine.trace)
   in
-  if not report.Simulator.Validate.ok then
-    Alcotest.failf "reversed backward trace invalid:\n%s"
-      (String.concat "\n" report.Simulator.Validate.errors)
+  let cert =
+    Analysis.Certify.check
+      ~layout:(Fabric.Component.layout (Mapper.component ctx))
+      ~timing:Router.Timing.paper ~channel_capacity:2 ~junction_capacity:2 ~dag:(Mapper.dag ctx)
+      ~initial_placement:bwd.Simulator.Engine.final_placement
+      ~claimed_latency:(Simulator.Trace.latency reversed) reversed
+  in
+  if not cert.Analysis.Certify.valid then
+    Alcotest.failf "reversed backward trace not certified:\n%a" Analysis.Certify.pp cert
 
 let test_run_backward_requires_unitary () =
   let b = Qasm.Program.builder ~name:"meas" () in
@@ -158,13 +178,11 @@ let test_quale_trace_validates () =
   match Quale_mode.map ctx with
   | Error e -> Alcotest.fail (Mapper.error_to_string e)
   | Ok sol ->
-      let report =
-        Simulator.Validate.check ~graph:(Mapper.graph ctx) ~timing:Router.Timing.paper
-          ~channel_capacity:1 ~junction_capacity:2 ~initial_placement:sol.Mapper.initial_placement
-          sol.Mapper.trace
+      let cert =
+        Analysis.Certify.of_solution ~policy:(Mapper.config ctx).Config.quale_policy ctx sol
       in
-      if not report.Simulator.Validate.ok then
-        Alcotest.failf "QUALE trace invalid:\n%s" (String.concat "\n" report.Simulator.Validate.errors)
+      if not cert.Analysis.Certify.valid then
+        Alcotest.failf "QUALE trace not certified:\n%a" Analysis.Certify.pp cert
 
 (* ------------------------------------------------------------ full sweep *)
 

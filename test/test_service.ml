@@ -56,7 +56,7 @@ let test_job_round_trip () =
     jobs
 
 let test_job_defaults () =
-  match Protocol.job_of_line {|{"schema":"qspr-job/1","id":"d","circuit":{"builtin":"x"}}|} with
+  match Protocol.job_of_line {|{"schema":"qspr-job/2","id":"d","circuit":{"builtin":"x"}}|} with
   | Error e -> Alcotest.failf "decode: %s" e
   | Ok j ->
       check_int "default seed" 2012 j.Protocol.seed;
@@ -69,16 +69,20 @@ let test_job_decode_errors () =
     [
       ("not json at all", "not json");
       ("wrong schema", {|{"schema":"qspr-job/9","id":"x","circuit":{"builtin":"c"}}|});
-      ("missing id", {|{"schema":"qspr-job/1","circuit":{"builtin":"c"}}|});
-      ("missing circuit", {|{"schema":"qspr-job/1","id":"x"}|});
-      ("both circuit forms", {|{"schema":"qspr-job/1","id":"x","circuit":{"builtin":"c","qasm":"q"}}|});
-      ("bad seed type", {|{"schema":"qspr-job/1","id":"x","circuit":{"builtin":"c"},"seed":"7"}|});
+      ("missing id", {|{"schema":"qspr-job/2","circuit":{"builtin":"c"}}|});
+      ("missing circuit", {|{"schema":"qspr-job/2","id":"x"}|});
+      ("both circuit forms", {|{"schema":"qspr-job/2","id":"x","circuit":{"builtin":"c","qasm":"q"}}|});
+      ("bad seed type", {|{"schema":"qspr-job/2","id":"x","circuit":{"builtin":"c"},"seed":"7"}|});
     ]
   in
   List.iter
     (fun (name, line) ->
       check_bool name true (Result.is_error (Protocol.job_of_line line)))
-    bad
+    bad;
+  (* /2 is the one live request schema: a well-formed /1 line is refused *)
+  match Protocol.job_of_line {|{"schema":"qspr-job/1","id":"x","circuit":{"builtin":"c"}}|} with
+  | Ok _ -> Alcotest.fail "qspr-job/1 line accepted"
+  | Error e -> check_string "retired schema" "expected schema qspr-job/2, got qspr-job/1" e
 
 let test_response_round_trip () =
   let attempts =
@@ -232,7 +236,7 @@ let test_reject_queue () =
 
 let test_handle_line_malformed () =
   let t = Scheduler.create () in
-  let line = Scheduler.handle_line t "{\"schema\":\"qspr-job/1\"" in
+  let line = Scheduler.handle_line t "{\"schema\":\"qspr-job/2\"" in
   match Protocol.response_of_line line with
   | Error e -> Alcotest.failf "response line must decode: %s" e
   | Ok r ->

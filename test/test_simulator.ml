@@ -40,6 +40,20 @@ let run_exn ?policy graph program placement =
   | Ok r -> r
   | Error e -> Alcotest.failf "engine: %s" (Engine.string_of_error e)
 
+(* Replays an engine run through the independent certifier under the
+   capacities of the policy it ran with. *)
+let certify_run ~policy graph program placement (r : Engine.result) =
+  let cert =
+    Analysis.Certify.check
+      ~layout:(Component.layout (Graph.component graph))
+      ~timing:Timing.paper ~channel_capacity:policy.Engine.channel_capacity
+      ~junction_capacity:policy.Engine.junction_capacity ~dag:(Dag.of_program program)
+      ~initial_placement:placement ~final_placement:r.Engine.final_placement
+      ~claimed_latency:r.Engine.latency r.Engine.trace
+  in
+  if not cert.Analysis.Certify.valid then
+    Alcotest.failf "trace not certified:\n%a" Analysis.Certify.pp cert
+
 (* small tile traps: t0=(5,1) t1=(5,3) t2=(5,6) t3=(5,8) *)
 
 let test_single_1q_gate () =
@@ -110,12 +124,7 @@ let test_fig3_trace_validates () =
   let center = Layout.center (Component.layout comp) in
   let placement = Array.of_list (List.filteri (fun i _ -> i < 5) (Component.nearest_traps comp center)) in
   let r = run_exn graph p placement in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:placement r.Engine.trace
-  in
-  if not report.Validate.ok then
-    Alcotest.failf "trace invalid:\n%s" (String.concat "\n" report.Validate.errors)
+  certify_run ~policy:Engine.qspr_policy graph p placement r
 
 let test_fig3_quale_policy_slower () =
   let p = parse fig3_qasm in
@@ -135,12 +144,7 @@ let test_quale_policy_trace_validates_capacity_one () =
   let center = Layout.center (Component.layout comp) in
   let placement = Array.of_list (List.filteri (fun i _ -> i < 5) (Component.nearest_traps comp center)) in
   let r = run_exn ~policy:Engine.quale_policy graph p placement in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:1 ~junction_capacity:2
-      ~initial_placement:placement r.Engine.trace
-  in
-  if not report.Validate.ok then
-    Alcotest.failf "capacity-1 trace invalid:\n%s" (String.concat "\n" report.Validate.errors)
+  certify_run ~policy:Engine.quale_policy graph p placement r
 
 let test_engine_determinism () =
   let p = parse fig3_qasm in
@@ -263,83 +267,65 @@ let test_trace_to_string () =
   let r = run_exn (tile_graph ()) p [| 0 |] in
   check_bool "printable" true (String.length (Trace.to_string r.Engine.trace) > 0)
 
-(* -------------------------------------------------------------- Validate *)
+(* ----------------------------------------------------- forged traces *)
+
+(* Certifies a hand-forged trace on the small tile and returns its finding
+   kinds.  The programs declare their qubits first, so node 0 is [QUBIT a]
+   and the one gate [H a] is instruction 1.  Every forged trace also skips
+   a program gate ([missing-gate]), so each test asserts the specific
+   finding it forges. *)
+let forged_kinds ?(program = "QUBIT a\nH a\n") ~placement trace =
+  let graph = tile_graph () in
+  let cert =
+    Analysis.Certify.check
+      ~layout:(Component.layout (Graph.component graph))
+      ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
+      ~dag:(Dag.of_program (parse program)) ~initial_placement:placement
+      ~claimed_latency:(Trace.latency trace) trace
+  in
+  check_bool "rejected" false cert.Analysis.Certify.valid;
+  List.filter_map Analysis.Finding.kind cert.Analysis.Certify.findings
+
+let check_reports kind kinds =
+  if not (List.mem kind kinds) then
+    Alcotest.failf "expected a %s finding, got [%s]" kind (String.concat "; " kinds)
 
 let test_validate_catches_teleport () =
-  (* a forged trace where the qubit jumps two cells *)
-  let graph = tile_graph () in
+  (* the qubit jumps two cells in one move *)
   let trace =
     [
       Micro.Move { qubit = 0; from_ = Coord.make 5 1; to_ = Coord.make 5 3; start = 0.0; finish = 1.0 };
     ]
   in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
-  check_bool "rejected" false report.Validate.ok
+  check_reports "bad-step" (forged_kinds ~placement:[| 0 |] trace)
 
 let test_validate_catches_wrong_gate_site () =
-  let graph = tile_graph () in
+  (* (2,2) is a junction, not a trap *)
   let trace =
-    [ Micro.Gate_start { instr_id = 0; trap = Coord.make 2 2; qubits = [ 0 ]; time = 0.0 } ]
+    [ Micro.Gate_start { instr_id = 1; trap = Coord.make 2 2; qubits = [ 0 ]; time = 0.0 } ]
   in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
-  (* (2,2) is a junction, not a trap, and the gate never ends *)
-  check_bool "rejected" false report.Validate.ok
+  check_reports "gate-site" (forged_kinds ~placement:[| 0 |] trace)
 
 let test_validate_catches_capacity_violation () =
-  let graph = tile_graph () in
-  (* three qubits squeezed through the same channel cell simultaneously *)
+  (* three qubits squeezed through the same channel cell simultaneously:
+     the moves also break continuity, but the capacity sweep still counts
+     three users on the segment *)
   let mk q = Micro.Move { qubit = q; from_ = Coord.make 5 2; to_ = Coord.make 4 2; start = 0.0; finish = 1.0 } in
-  (* place 3 qubits on traps t0,t1,t2; forge their positions via initial
-     moves from their real taps is complex — instead forge three parallel
-     moves from the same cell, which also violates continuity; capacity check
-     still counts 3 users on the segment *)
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0; 1; 2 |]
-      [ mk 0; mk 1; mk 2 ]
-  in
-  check_bool "rejected" false report.Validate.ok;
-  check_bool "mentions capacity" true
-    (List.exists
-       (fun e ->
-         let has_sub s sub =
-           let n = String.length sub in
-           let found = ref false in
-           for i = 0 to String.length s - n do
-             if String.sub s i n = sub then found := true
-           done;
-           !found
-         in
-         has_sub e "capacity")
-       report.Validate.errors)
+  check_reports "capacity"
+    (forged_kinds ~program:"QUBIT a\nQUBIT b\nQUBIT c\nH a\n" ~placement:[| 0; 1; 2 |]
+       [ mk 0; mk 1; mk 2 ])
 
 let test_validate_never_ended_gate () =
-  let graph = tile_graph () in
-  (* qubit 0 starts at trap 0 = (5,1); gate starts there but never ends *)
-  let trace = [ Micro.Gate_start { instr_id = 9; trap = Coord.make 5 1; qubits = [ 0 ]; time = 0.0 } ] in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
-  check_bool "rejected" false report.Validate.ok
+  (* qubit 0 starts at trap 0 = (5,1); its gate starts there but never ends *)
+  let trace = [ Micro.Gate_start { instr_id = 1; trap = Coord.make 5 1; qubits = [ 0 ]; time = 0.0 } ] in
+  check_reports "gate-pairing" (forged_kinds ~placement:[| 0 |] trace)
 
 let test_validate_wrong_durations () =
-  let graph = tile_graph () in
+  (* a move must take exactly t_move *)
   let trace =
     [ Micro.Move { qubit = 0; from_ = Coord.make 5 1; to_ = Coord.make 5 2; start = 0.0; finish = 3.0 } ]
   in
-  let report =
-    Validate.check ~graph ~timing:Timing.paper ~channel_capacity:2 ~junction_capacity:2
-      ~initial_placement:[| 0 |] trace
-  in
-  (* a move must take exactly t_move *)
-  check_bool "rejected" false report.Validate.ok
+  check_reports "bad-duration" (forged_kinds ~placement:[| 0 |] trace)
 
 let () =
   Alcotest.run "simulator"

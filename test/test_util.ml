@@ -83,85 +83,92 @@ let test_rng_pick_member () =
     check_bool "member" true (Array.exists (( = ) (Rng.pick r a)) a)
   done
 
-(* --------------------------------------------------------------- Pqueue *)
+(* ---------------------------------------------------------------- Fheap *)
 
-let test_pqueue_ordering () =
-  let q = Pqueue.create ~compare:Int.compare () in
-  List.iter (fun p -> Pqueue.add q p (string_of_int p)) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let order = List.map fst (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ] order;
-  check_int "queue untouched by to_sorted_list" 7 (Pqueue.length q)
+(* pops every entry as (priority, payload), emptying the heap *)
+let fheap_drain q =
+  let rec go acc =
+    if Fheap.is_empty q then List.rev acc
+    else begin
+      let entry = (Fheap.top_prio q, Fheap.top_data q) in
+      Fheap.drop_min q;
+      go (entry :: acc)
+    end
+  in
+  go []
 
-let test_pqueue_pop_sequence () =
-  let q = Pqueue.create ~compare:Int.compare () in
-  Pqueue.add q 2 "b";
-  Pqueue.add q 1 "a";
-  Pqueue.add q 3 "c";
-  Alcotest.(check (option (pair int string))) "peek min" (Some (1, "a")) (Pqueue.peek q);
-  Alcotest.(check (option (pair int string))) "pop 1" (Some (1, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop 2" (Some (2, "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "pop 3" (Some (3, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (Pqueue.pop q)
+let fheap_of_ints xs =
+  let q = Fheap.create () in
+  List.iter (fun x -> Fheap.add q (float_of_int x) x) xs;
+  q
 
-let test_pqueue_empty () =
-  let q : (int, unit) Pqueue.t = Pqueue.create ~compare:Int.compare () in
-  check_bool "is_empty" true (Pqueue.is_empty q);
-  check_int "length" 0 (Pqueue.length q);
-  Alcotest.check_raises "pop_exn raises" (Invalid_argument "Pqueue.pop_exn: empty queue") (fun () ->
-      ignore (Pqueue.pop_exn q))
+let test_fheap_ordering () =
+  let q = fheap_of_ints [ 5; 3; 8; 1; 9; 2; 7 ] in
+  check_int "length" 7 (Fheap.length q);
+  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ] (List.map snd (fheap_drain q));
+  check_bool "drained" true (Fheap.is_empty q)
 
-let test_pqueue_clear () =
-  let q = Pqueue.create ~compare:Int.compare () in
-  Pqueue.add q 1 ();
-  Pqueue.add q 2 ();
-  Pqueue.clear q;
-  check_bool "cleared" true (Pqueue.is_empty q)
+let test_fheap_pop_sequence () =
+  let q = Fheap.create () in
+  Fheap.add q 2.0 20;
+  Fheap.add q 1.0 10;
+  Fheap.add q 3.0 30;
+  check_float "top prio" 1.0 (Fheap.top_prio q);
+  check_int "top data" 10 (Fheap.top_data q);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "pops" [ (1.0, 10); (2.0, 20); (3.0, 30) ] (fheap_drain q)
 
-let test_pqueue_growth () =
-  let q = Pqueue.create ~capacity:1 ~compare:Int.compare () in
+let test_fheap_empty () =
+  let q = Fheap.create () in
+  check_bool "is_empty" true (Fheap.is_empty q);
+  check_int "length" 0 (Fheap.length q);
+  Alcotest.check_raises "top_prio raises" (Invalid_argument "Fheap.top_prio: empty heap") (fun () ->
+      ignore (Fheap.top_prio q));
+  Alcotest.check_raises "top_data raises" (Invalid_argument "Fheap.top_data: empty heap") (fun () ->
+      ignore (Fheap.top_data q));
+  Alcotest.check_raises "drop_min raises" (Invalid_argument "Fheap.drop_min: empty heap") (fun () ->
+      Fheap.drop_min q)
+
+let test_fheap_clear () =
+  let q = fheap_of_ints [ 1; 2 ] in
+  Fheap.clear q;
+  check_bool "cleared" true (Fheap.is_empty q);
+  Fheap.add q 4.0 4;
+  Alcotest.(check (list int)) "reusable after clear" [ 4 ] (List.map snd (fheap_drain q))
+
+let test_fheap_growth () =
+  let q = Fheap.create ~capacity:1 () in
   for i = 1000 downto 1 do
-    Pqueue.add q i i
+    Fheap.add q (float_of_int i) i
   done;
-  check_int "length" 1000 (Pqueue.length q);
-  let p, _ = Pqueue.pop_exn q in
-  check_int "min after growth" 1 p
+  check_int "length" 1000 (Fheap.length q);
+  check_float "min after growth" 1.0 (Fheap.top_prio q);
+  check_int "payload after growth" 1 (Fheap.top_data q)
 
-let prop_pqueue_sorts =
+let prop_fheap_sorts =
   QCheck.Test.make ~name:"pqueue drains any list sorted" ~count:200
     QCheck.(list small_int)
-    (fun xs ->
-      let q = Pqueue.create ~compare:Int.compare () in
-      List.iter (fun x -> Pqueue.add q x x) xs;
-      let drained = List.map fst (Pqueue.to_sorted_list q) in
-      drained = List.sort compare xs)
+    (fun xs -> List.map snd (fheap_drain (fheap_of_ints xs)) = List.sort compare xs)
 
-(* --------------------------------------------------------- Pairing_heap *)
-
-let test_pheap_basic () =
-  let h = Pairing_heap.of_list ~compare:Int.compare [ (4, "d"); (1, "a"); (3, "c") ] in
-  Alcotest.(check (option (pair int string))) "peek" (Some (1, "a")) (Pairing_heap.peek h);
-  check_int "length" 3 (Pairing_heap.length h)
-
-let test_pheap_persistent () =
-  let h0 = Pairing_heap.of_list ~compare:Int.compare [ (2, ()); (1, ()) ] in
-  let h1 = Pairing_heap.add h0 0 () in
-  (* h0 is unchanged by the add *)
-  Alcotest.(check (option (pair int unit))) "h0 min" (Some (1, ())) (Pairing_heap.peek h0);
-  Alcotest.(check (option (pair int unit))) "h1 min" (Some (0, ())) (Pairing_heap.peek h1)
-
-let test_pheap_merge () =
-  let a = Pairing_heap.of_list ~compare:Int.compare [ (5, ()); (2, ()) ] in
-  let b = Pairing_heap.of_list ~compare:Int.compare [ (3, ()); (1, ()) ] in
-  let m = Pairing_heap.merge a b in
-  let keys = List.map fst (Pairing_heap.to_sorted_list m) in
-  Alcotest.(check (list int)) "merged sorted" [ 1; 2; 3; 5 ] keys
-
-let prop_pheap_sorts =
-  QCheck.Test.make ~name:"pairing heap drains any list sorted" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Pairing_heap.of_list ~compare:Int.compare (List.map (fun x -> (x, x)) xs) in
-      List.map fst (Pairing_heap.to_sorted_list h) = List.sort compare xs)
+(* the manual-push recipe of fheap.mli must be [add] exactly, ties and
+   payload order included: the engine's event loop relies on it *)
+let prop_fheap_manual_push =
+  QCheck.Test.make ~name:"fheap manual push pops like add" ~count:200
+    QCheck.(list (pair (int_bound 8) small_int))
+    (fun entries ->
+      let by_add = Fheap.create ~capacity:1 () in
+      let by_hand = Fheap.create ~capacity:1 () in
+      List.iter
+        (fun (p, v) ->
+          let p = float_of_int p in
+          Fheap.add by_add p v;
+          Fheap.ensure_room by_hand;
+          by_hand.Fheap.prio.(by_hand.size) <- p;
+          by_hand.Fheap.data.(by_hand.size) <- v;
+          by_hand.size <- by_hand.size + 1;
+          Fheap.sift_up by_hand (by_hand.size - 1))
+        entries;
+      fheap_drain by_add = fheap_drain by_hand)
 
 (* ---------------------------------------------------------------- Stats *)
 
@@ -381,22 +388,16 @@ let () =
           Alcotest.test_case "shuffle preserves" `Quick test_rng_shuffle_preserves_elements;
           Alcotest.test_case "pick member" `Quick test_rng_pick_member;
         ] );
+      (* the priority-queue group: Fheap is the one heap *)
       ( "pqueue",
         [
-          Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
-          Alcotest.test_case "pop sequence" `Quick test_pqueue_pop_sequence;
-          Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          Alcotest.test_case "growth" `Quick test_pqueue_growth;
+          Alcotest.test_case "ordering" `Quick test_fheap_ordering;
+          Alcotest.test_case "pop sequence" `Quick test_fheap_pop_sequence;
+          Alcotest.test_case "empty" `Quick test_fheap_empty;
+          Alcotest.test_case "clear" `Quick test_fheap_clear;
+          Alcotest.test_case "growth" `Quick test_fheap_growth;
         ]
-        @ qsuite [ prop_pqueue_sorts ] );
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basic" `Quick test_pheap_basic;
-          Alcotest.test_case "persistent" `Quick test_pheap_persistent;
-          Alcotest.test_case "merge" `Quick test_pheap_merge;
-        ]
-        @ qsuite [ prop_pheap_sorts ] );
+        @ qsuite [ prop_fheap_sorts; prop_fheap_manual_push ] );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
