@@ -456,6 +456,33 @@ let priority_study ?(circuit = "[[9,1,3]]") () =
       | Error e -> failwith ("Experiments.priority_study: " ^ Simulator.Engine.string_of_error e))
     policies
 
+(* each variant disables one QSPR design choice, engine policy only: same
+   placement, same priorities *)
+let ablation_study ?(circuit = "[[9,1,3]]") () =
+  let p =
+    match List.assoc_opt circuit (default_circuits ()) with
+    | Some p -> p
+    | None -> failwith ("Experiments.ablation_study: unknown circuit " ^ circuit)
+  in
+  let ctx = context p in
+  let q = (Mapper.config ctx).Config.qspr_policy in
+  let placement =
+    Placer.Center.place (Mapper.component ctx) ~num_qubits:(Qasm.Program.num_qubits p)
+  in
+  let priorities = Mapper.qspr_priorities ctx in
+  List.map
+    (fun (name, policy) ->
+      match Mapper.run_with ctx ~policy ~priorities ~placement with
+      | Ok r -> (name, r.Simulator.Engine.latency)
+      | Error e -> failwith ("Experiments.ablation_study: " ^ Simulator.Engine.string_of_error e))
+    [
+      ("full_qspr", q);
+      ("turn_blind", { q with Simulator.Engine.turn_aware = false });
+      ("capacity_1", { q with Simulator.Engine.channel_capacity = 1 });
+      ("dest_pinned", { q with Simulator.Engine.routing = Simulator.Engine.Dest_pinned });
+      ("single_trap_candidate", { q with Simulator.Engine.trap_candidates = 1 });
+    ]
+
 (* every solution already carries its certified lower bound; the study just
    lines them up against the achieved latencies so the optimality gap of
    the whole Table-1 suite is visible at a glance *)

@@ -137,6 +137,14 @@ val priority_study : ?circuit:string -> unit -> (string * float) list
     QUALE's ALAP, QPOS's dependents count and the dependent-delay tweak of
     reference [5].  Default circuit [[9,1,3]]. *)
 
+val ablation_study : ?circuit:string -> unit -> (string * float) list
+(** Engine-policy ablations: mapped latency (center placement, QSPR
+    priorities) with one QSPR design choice disabled per row —
+    [full_qspr] (the reference, equal to {!Mapper.run_forward}),
+    [turn_blind] (turns not charged in the routing metric), [capacity_1]
+    (no channel multiplexing), [dest_pinned] (only the source operand
+    moves) and [single_trap_candidate].  Default circuit [[9,1,3]]. *)
+
 val gaps_study :
   ?m:int ->
   ?circuits:(string * Qasm.Program.t) list ->

@@ -37,9 +37,10 @@ val distances :
 
 (** {2 Shared search core}
 
-    The primitives behind [shortest_path], exposed so {!Astar} (and the
-    instrumented search-effort comparison) run the exact same loop with a
-    heuristic and a settle counter plugged in. *)
+    The primitives behind [shortest_path], exposed so A* runs the exact
+    same loop with a heuristic plugged in — {!Pathfinder} passes
+    [~heuristic:(Lower_bound.heuristic lb)] — and search-effort checks with
+    a settle counter. *)
 
 val run_into :
   ?heuristic:(Fabric.Graph.node -> float) ->

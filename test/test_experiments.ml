@@ -52,10 +52,22 @@ let test_figures_render () =
   let fig5 = Experiments.fig5 () in
   check_bool "fig5 mentions turns" true (String.length fig5 > 100)
 
+(* the single-workload ablation tables: one row per policy, and the
+   ablation's reference row is exactly the mapper's forward run *)
 let test_priority_study_rows () =
-  let rows = Experiments.priority_study ~circuit:"[[5,1,3]]" () in
-  check_int "five policies" 5 (List.length rows);
-  List.iter (fun (_, l) -> check_bool "positive latency" true (l > 0.0)) rows
+  let ablation = Experiments.ablation_study ~circuit:"[[5,1,3]]" () in
+  List.iter
+    (fun (label, rows) ->
+      check_int (label ^ ": five rows") 5 (List.length rows);
+      List.iter (fun (_, l) -> check_bool "positive latency" true (l > 0.0)) rows)
+    [ ("priority study", Experiments.priority_study ~circuit:"[[5,1,3]]" ()); ("ablation study", ablation) ];
+  let ctx = Experiments.context (List.assoc "[[5,1,3]]" (Circuits.Qecc.all ())) in
+  let placement = Placer.Center.place (Mapper.component ctx) ~num_qubits:5 in
+  match Mapper.run_forward ctx placement with
+  | Ok r ->
+      Alcotest.(check (float 0.0))
+        "full_qspr = run_forward" r.Simulator.Engine.latency (List.assoc "full_qspr" ablation)
+  | Error e -> Alcotest.fail (Simulator.Engine.string_of_error e)
 
 let test_noise_study_qspr_wins () =
   let rows = Experiments.noise_study ~m:2 ~circuits:(small_circuits ()) () in

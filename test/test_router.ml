@@ -1,6 +1,6 @@
 (* Tests for the router: timing model, congestion accounting (Eq. 2),
-   Dijkstra on the turn-aware graph (the Figure 5 experiment), typed paths
-   and micro-command lowering. *)
+   Dijkstra on the turn-aware graph (the Figure 5 experiment) and its
+   lower-bound-guided A* mode, typed paths and micro-command lowering. *)
 
 module Coord = Ion_util.Coord
 open Fabric
@@ -452,7 +452,15 @@ let prop_path_at_least_manhattan =
             let p = Path.of_result ~src ~dst r in
             Path.moves p >= Coord.manhattan traps.(src_t).Component.tpos traps.(dst_t).Component.tpos)
 
-(* ---------------------------------------------------------------- Astar *)
+(* ------------------------------------------------------------------- A* *)
+
+(* The production A*: Dijkstra's loop with a lower-bound table for [dst] as
+   its heuristic, as Pathfinder runs it.  The table's turn cost must not
+   exceed the live one for the heuristic to stay admissible. *)
+let astar ?(workspace = Workspace.create ()) ?count ~turn_cost g ~weight ~src ~dst =
+  let lb = Lower_bound.build g ~turn_cost ~dst in
+  Dijkstra.run_into ~heuristic:(Lower_bound.heuristic lb) ?count workspace g ~weight ~src ~dst;
+  Dijkstra.path_to workspace g ~dst
 
 let test_astar_matches_dijkstra_cost () =
   let comp = quale () in
@@ -461,7 +469,10 @@ let test_astar_matches_dijkstra_cost () =
   let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 101 in
   let w = free_weight tm cong in
-  match (Astar.shortest_path g ~weight:w ~src ~dst, Dijkstra.shortest_path g ~weight:w ~src ~dst) with
+  match
+    ( astar ~turn_cost:(Timing.turn_cost_in_moves tm) g ~weight:w ~src ~dst,
+      Dijkstra.shortest_path g ~weight:w ~src ~dst )
+  with
   | Some a, Some d -> check_float "same cost" d.Dijkstra.cost a.Dijkstra.cost
   | _ -> Alcotest.fail "route not found"
 
@@ -470,12 +481,18 @@ let test_astar_expands_fewer () =
   let g = Graph.build comp in
   let cong = Congestion.create comp ~channel_capacity:2 ~junction_capacity:2 in
   let src = Graph.trap_node g 0 and dst = Graph.trap_node g 64 in
-  let a, d = Astar.nodes_expanded g ~weight:(Congestion.weight cong ~turn_cost:10.0) ~src ~dst in
-  check_bool (Printf.sprintf "A* (%d) <= Dijkstra (%d)" a d) true (a <= d)
+  let weight = Congestion.weight cong ~turn_cost:10.0 in
+  let a = ref 0 and d = ref 0 in
+  ignore (astar ~count:a ~turn_cost:10.0 g ~weight ~src ~dst);
+  Dijkstra.run_into ~count:d (Workspace.create ()) g ~weight ~src ~dst;
+  check_bool (Printf.sprintf "A* (%d) <= Dijkstra (%d)" !a !d) true (!a <= !d)
 
 let test_astar_blocked () =
   let g = Graph.build (tile ()) in
-  match Astar.shortest_path g ~weight:(fun _ -> Float.infinity) ~src:(Graph.trap_node g 0) ~dst:(Graph.trap_node g 3) with
+  match
+    astar ~turn_cost:10.0 g ~weight:(fun _ -> Float.infinity) ~src:(Graph.trap_node g 0)
+      ~dst:(Graph.trap_node g 3)
+  with
   | None -> ()
   | Some _ -> Alcotest.fail "path through infinite weights"
 
@@ -496,7 +513,7 @@ let prop_astar_equals_dijkstra =
       let ntraps = Array.length (Component.traps comp) in
       let src = Graph.trap_node g (a mod ntraps) and dst = Graph.trap_node g (b mod ntraps) in
       let w = Congestion.weight cong ~turn_cost:10.0 in
-      match (Astar.shortest_path g ~weight:w ~src ~dst, Dijkstra.shortest_path g ~weight:w ~src ~dst) with
+      match (astar ~turn_cost:10.0 g ~weight:w ~src ~dst, Dijkstra.shortest_path g ~weight:w ~src ~dst) with
       | Some r1, Some r2 -> Float.abs (r1.Dijkstra.cost -. r2.Dijkstra.cost) < 1e-9
       | None, None -> true
       | _ -> false)
@@ -540,8 +557,8 @@ let prop_workspace_reuse_matches_fresh =
             (Dijkstra.shortest_path ~workspace:ws g ~weight:w ~src ~dst)
             (Dijkstra.shortest_path g ~weight:w ~src ~dst)
           && same
-               (Astar.shortest_path ~workspace:ws g ~weight:w ~src ~dst)
-               (Astar.shortest_path g ~weight:w ~src ~dst))
+               (astar ~workspace:ws ~turn_cost:10.0 g ~weight:w ~src ~dst)
+               (astar ~turn_cost:10.0 g ~weight:w ~src ~dst))
         queries)
 
 let prop_workspace_distances_match =
