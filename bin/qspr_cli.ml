@@ -16,6 +16,15 @@ let load_fabric = function
       | exception Sys_error e -> Error e
       | src -> Fabric.Layout.parse src)
 
+(* The machine a command runs on: a bare --fabric layout runs under the
+   paper config, a --pmd file brings its own timing and capacities. *)
+let load_machine ~fabric_path ~pmd_path =
+  match pmd_path with
+  | Some _ when fabric_path <> None -> Error "give --fabric or --pmd, not both"
+  | Some path ->
+      Result.map (fun pmd -> (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)) (Qspr.Pmd.parse_file path)
+  | None -> Result.map (fun lay -> (lay, Qspr.Config.default)) (load_fabric fabric_path)
+
 let load_program ~circuit ~qasm ~openqasm =
   match (circuit, qasm, openqasm) with
   | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
@@ -48,47 +57,26 @@ let load_program_located ~circuit ~qasm ~openqasm =
    failure modes they catch — disconnected islands, starved capacity — waste
    a whole placement search otherwise): warnings and hints go to stderr,
    errors abort before any search runs. *)
-let gate_on_fabric_lint ~program fabric =
-  let findings = Fabric.Lint.check ~num_qubits:(Qasm.Program.num_qubits program) fabric in
+let gate_on_fabric_lint ~program ~config fabric =
+  let findings =
+    Analysis.Fabric_check.check ~num_qubits:(Qasm.Program.num_qubits program)
+      ~channel_capacity:config.Qspr.Config.qspr_policy.Simulator.Engine.channel_capacity fabric
+  in
   List.iter (fun f -> Format.eprintf "%a@." Analysis.Finding.pp f) findings;
   if Analysis.Finding.is_clean findings then Ok ()
   else Error "fabric fails lint (errors above; `qspr lint` shows the full report)"
 
 let do_map circuit qasm openqasm fabric_path pmd_path placer m sa_moves seed prescreen_k
-    budget_s budget_evals incremental show_trace certify json_out =
+    budget_s budget_evals show_trace certify json_out =
   let ( let* ) = Result.bind in
   let result =
     let* program = load_program ~circuit ~qasm ~openqasm in
-    let* fabric, base_config =
-      match pmd_path with
-      | Some path ->
-          if fabric_path <> None then Error "give --fabric or --pmd, not both"
-          else
-            let* pmd = Qspr.Pmd.parse_file path in
-            Ok (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)
-      | None ->
-          let* fabric = load_fabric fabric_path in
-          Ok (fabric, Qspr.Config.default)
-    in
-    let* () = gate_on_fabric_lint ~program fabric in
-    (* explicit flags win; otherwise keep the config's (env-derived) budget *)
-    let base_budget = base_config.Qspr.Config.budget in
-    let budget =
-      {
-        Qspr.Config.wall_s =
-          (match budget_s with Some _ -> budget_s | None -> base_budget.Qspr.Config.wall_s);
-        max_evals =
-          (match budget_evals with
-          | Some _ -> budget_evals
-          | None -> base_budget.Qspr.Config.max_evals);
-        deadline = base_budget.Qspr.Config.deadline;
-      }
-    in
+    let* fabric, base_config = load_machine ~fabric_path ~pmd_path in
+    let* () = gate_on_fabric_lint ~program ~config:base_config fabric in
     let config =
       Qspr.Config.(
-        base_config |> with_m m |> with_seed seed |> with_budget budget
-        |> (match sa_moves with Some n -> with_sa_moves n | None -> Fun.id)
-        |> match incremental with Some b -> with_incremental b | None -> Fun.id)
+        base_config |> with_m m |> with_seed seed |> with_sa_moves sa_moves
+        |> with_budget { wall_s = budget_s; max_evals = budget_evals; deadline = None })
     in
     let* ctx = Qspr.Mapper.create ~fabric ~config program in
     let* kind = Qspr.Placer_kind.resolve ~allowed:Qspr.Placer_kind.all placer in
@@ -192,7 +180,7 @@ let budget_arg =
     & info [ "budget" ] ~docv:"SECONDS"
         ~doc:
           "Wall-clock budget for the placement search; when it runs out the search returns \
-           best-so-far marked degraded (default: QSPR_BUDGET, else off).")
+           best-so-far marked degraded (default: off).")
 
 let budget_evals_arg =
   Arg.(
@@ -201,7 +189,7 @@ let budget_evals_arg =
     & info [ "budget-evals" ] ~docv:"N"
         ~doc:
           "Deterministic evaluation budget: at most $(docv) full engine evaluations per search \
-           (default: QSPR_BUDGET_EVALS, else off).")
+           (default: off).")
 
 let prescreen_arg =
   Arg.(
@@ -210,30 +198,19 @@ let prescreen_arg =
     & info [ "prescreen" ] ~docv:"K"
         ~doc:
           "Estimator pre-screening: score every candidate placement with the fast latency \
-           estimator and fully route only the $(docv) best (0 disables; default: \
-           QSPR_PRESCREEN, else off).")
-
-let incremental_arg =
-  Arg.(
-    value
-    & opt (some bool) None
-    & info [ "incremental" ] ~docv:"BOOL"
-        ~doc:
-          "Incremental routing stack: dirty-net Pathfinder negotiation and the cross-candidate \
-           route cache.  Results are unchanged either way; false retains the legacy \
-           full-reroute/uncached path for A/B timing (default: QSPR_INCREMENTAL, else true).")
+           estimator and fully route only the $(docv) best (default: off; 0 also disables).")
 
 let m_arg = Arg.(value & opt int 25 & info [ "m"; "seeds" ] ~docv:"M" ~doc:"MVFB seeds / MC runs (-m or --seeds).")
 
 let sa_moves_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int Qspr.Config.default.Qspr.Config.sa_moves
     & info [ "sa-moves" ] ~docv:"N"
         ~doc:
           "Delta-annealing move budget per stream: proposals scored by the incremental \
-           estimator, with only improved incumbents routed (default: QSPR_SA_MOVES, else \
-           20000).  Used by the portfolio placer's delta-SA streams.")
+           estimator, with only improved incumbents routed.  Used by the portfolio placer's \
+           delta-SA streams.")
 let seed_arg = Arg.(value & opt int 2012 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Print the micro-command trace.")
 
@@ -253,8 +230,8 @@ let map_cmd =
     (Cmd.info "map" ~doc:"Schedule, place and route a circuit onto an ion-trap fabric")
     Term.(
       const do_map $ circuit_arg $ qasm_arg $ openqasm_arg $ fabric_arg $ pmd_arg $ placer_arg $ m_arg
-      $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg $ incremental_arg
-      $ trace_arg $ certify_arg $ json_arg)
+      $ sa_moves_arg $ seed_arg $ prescreen_arg $ budget_arg $ budget_evals_arg $ trace_arg
+      $ certify_arg $ json_arg)
 
 (* --------------------------------------------------------------- fabric *)
 
@@ -276,13 +253,13 @@ let do_fabric fabric_path lint qubits =
             (Array.length (Fabric.Component.traps comp))
             Fabric.Render.legend (Fabric.Render.fabric lay);
           if lint then begin
-            let findings = Fabric.Lint.check ?num_qubits:qubits lay in
+            let findings = Analysis.Fabric_check.check ?num_qubits:qubits lay in
             if findings = [] then print_endline "\nlint: clean"
             else begin
               print_newline ();
-              List.iter (fun f -> Format.printf "lint %a@." Fabric.Lint.pp_finding f) findings
+              List.iter (fun f -> Format.printf "lint %a@." Analysis.Finding.pp f) findings
             end;
-            if Fabric.Lint.is_clean ?num_qubits:qubits lay then 0 else 1
+            if Analysis.Finding.is_clean findings then 0 else 1
           end
           else 0)
 
@@ -401,13 +378,11 @@ let do_lint circuit qasm openqasm fabric_path pmd_path json_out =
       if prog_given then Some (load_program_located ~circuit ~qasm ~openqasm) else None
     in
     let fabric, config =
-      match pmd_path with
-      | Some path -> (
-          match Qspr.Pmd.parse_file path with
-          | Ok pmd -> (Some (Ok pmd.Qspr.Pmd.layout), Qspr.Pmd.config pmd)
-          | Error e -> (Some (Error e), Qspr.Config.default))
-      | None ->
-          ((if fabric_given then Some (load_fabric fabric_path) else None), Qspr.Config.default)
+      if not fabric_given then (None, Qspr.Config.default)
+      else
+        match load_machine ~fabric_path ~pmd_path with
+        | Ok (lay, cfg) -> (Some (Ok lay), cfg)
+        | Error e -> (Some (Error e), Qspr.Config.default)
     in
     let findings = Analysis.Registry.lint ?program ?fabric ~config () in
     if json_out then
@@ -444,19 +419,7 @@ let do_audit circuit qasm openqasm fabric_path pmd_path placer m seed exact node
   match load_program_located ~circuit ~qasm ~openqasm with
   | Error e -> emit_findings (Analysis.Program_check.check_result (Error e))
   | Ok program -> (
-      let resolved =
-        let ( let* ) = Result.bind in
-        match pmd_path with
-        | Some path ->
-            if fabric_path <> None then Error "give --fabric or --pmd, not both"
-            else
-              let* pmd = Qspr.Pmd.parse_file path in
-              Ok (pmd.Qspr.Pmd.layout, Qspr.Pmd.config pmd)
-        | None ->
-            let* fabric = load_fabric fabric_path in
-            Ok (fabric, Qspr.Config.default)
-      in
-      match resolved with
+      match load_machine ~fabric_path ~pmd_path with
       | Error e ->
           Printf.eprintf "error: %s\n" e;
           2

@@ -2,8 +2,7 @@ module F = Finding
 
 let pass = "config"
 
-let check ?num_qubits (cfg : Qspr.Config.t) =
-  ignore num_qubits;
+let check (cfg : Qspr.Config.t) =
   let findings = ref [] in
   let emit f = findings := f :: !findings in
   (match Qspr.Config.validate cfg with
@@ -16,12 +15,6 @@ let check ?num_qubits (cfg : Qspr.Config.t) =
          ~extra:[ ("cores", Ion_util.Json.Int cores) ]
          F.Warning "jobs=%d exceeds the %d available cores: worker domains will contend"
          cfg.Qspr.Config.jobs cores);
-  if cfg.Qspr.Config.jobs = 1 && cores >= 4 then
-    emit
-      (F.make ~pass ~kind:"jobs-unused" ~loc:(F.Key "jobs")
-         ~extra:[ ("cores", Ion_util.Json.Int cores) ]
-         F.Hint "placement search is sequential on a %d-core machine: set jobs (QSPR_JOBS) to parallelize"
-         cores);
   (match cfg.Qspr.Config.prescreen_k with
   | Some k when k >= cfg.Qspr.Config.m ->
       emit

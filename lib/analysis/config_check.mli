@@ -13,9 +13,11 @@
       cost model the turn-aware router exists for;
     - [gate2-faster-than-gate1] (hint): unusual technology, worth a look;
     - [capacity-unusual] (hint): channel capacity beyond the paper's
-      ion-multiplexing assumption of 2;
-    - [jobs-unused] (hint): sequential search on a many-core machine. *)
+      ion-multiplexing assumption of 2.
 
-val check : ?num_qubits:int -> Qspr.Config.t -> Finding.t list
-(** All findings, errors first.  [num_qubits] reserved for future
-    program-aware checks; currently unused. *)
+    Only [jobs-oversubscribed] reads the host (its core count), and it
+    cannot fire at [jobs = 1], so the service's base config lints the same
+    on every host. *)
+
+val check : Qspr.Config.t -> Finding.t list
+(** All findings, errors first. *)

@@ -11,93 +11,171 @@ let pass = "fabric"
    nodes are articulation points too on any non-cyclic fabric — reporting
    every one would drown a linear machine in warnings, so only junctions
    (where capacity is contended by construction) are surfaced. *)
+let bottlenecks comp graph =
+  let n = Graph.num_nodes graph in
+  let traps = Component.traps comp in
+  let is_trap = Array.make n false in
+  Array.iter (fun (t : Component.trap) -> is_trap.(Graph.trap_node graph t.Component.tid) <- true) traps;
+  let disc = Array.make n (-1) in
+  let low = Array.make n 0 in
+  let trap_sub = Array.make n 0 in
+  let counter = ref 0 in
+  (* coord -> (smaller side, larger side), keeping the most severe split
+     per physical junction (both halves can be articulation points) *)
+  let hits : (int * int) Coord.Tbl.t = Coord.Tbl.create 16 in
+  let record v sep_traps total =
+    let other = total - sep_traps in
+    if sep_traps > 0 && other > 0 then begin
+      let s = min sep_traps other and l = max sep_traps other in
+      let c = Graph.node_pos graph v in
+      match Coord.Tbl.find_opt hits c with
+      | Some (s0, _) when s0 >= s -> ()
+      | _ -> Coord.Tbl.replace hits c (s, l)
+    end
+  in
+  for root = 0 to n - 1 do
+    if disc.(root) < 0 then begin
+      (* iterative DFS: each frame is (node, parent, remaining edges) *)
+      let comp_traps = ref 0 in
+      let stack = ref [] in
+      let push v parent =
+        disc.(v) <- !counter;
+        low.(v) <- !counter;
+        incr counter;
+        trap_sub.(v) <- (if is_trap.(v) then 1 else 0);
+        if is_trap.(v) then incr comp_traps;
+        stack := (v, parent, ref (Graph.adj graph v), ref 0) :: !stack
+      in
+      push root (-1);
+      let splits = ref [] (* (v, child_traps) for articulation children *) in
+      let root_children = ref 0 and root_child_traps = ref [] in
+      while !stack <> [] do
+        match !stack with
+        | [] -> ()
+        | (v, parent, edges, _) :: rest -> (
+            match !edges with
+            | e :: tl ->
+                edges := tl;
+                let w = e.Graph.dst in
+                if disc.(w) < 0 then push w v
+                else if w <> parent then low.(v) <- min low.(v) disc.(w)
+            | [] ->
+                stack := rest;
+                (match rest with
+                | (p, _, _, _) :: _ ->
+                    low.(p) <- min low.(p) low.(v);
+                    trap_sub.(p) <- trap_sub.(p) + trap_sub.(v);
+                    if p = root then begin
+                      incr root_children;
+                      root_child_traps := trap_sub.(v) :: !root_child_traps
+                    end
+                    else if low.(v) >= disc.(p) then splits := (p, trap_sub.(v)) :: !splits
+                | [] -> ()))
+      done;
+      let total = !comp_traps in
+      List.iter (fun (v, child_traps) -> record v child_traps total) !splits;
+      (* the root is an articulation point iff it has >= 2 DFS children;
+         each child subtree is then a separated side *)
+      if !root_children >= 2 then
+        List.iter (fun child_traps -> record root child_traps total) !root_child_traps
+    end
+  done;
+  Coord.Tbl.fold
+    (fun c (s, l) acc -> if Component.junction_at comp c <> None then (c, s, l) :: acc else acc)
+    hits []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Coord.compare a b)
+
 let bottleneck_junctions lay =
   match Component.extract lay with
   | Error _ -> []
-  | Ok comp ->
-      let graph = Graph.build comp in
-      let n = Graph.num_nodes graph in
-      let traps = Component.traps comp in
-      let is_trap = Array.make n false in
-      Array.iter (fun (t : Component.trap) -> is_trap.(Graph.trap_node graph t.Component.tid) <- true) traps;
-      let disc = Array.make n (-1) in
-      let low = Array.make n 0 in
-      let trap_sub = Array.make n 0 in
-      let counter = ref 0 in
-      (* coord -> (smaller side, larger side), keeping the most severe split
-         per physical junction (both halves can be articulation points) *)
-      let hits : (int * int) Coord.Tbl.t = Coord.Tbl.create 16 in
-      let record v sep_traps total =
-        let other = total - sep_traps in
-        if sep_traps > 0 && other > 0 then begin
-          let s = min sep_traps other and l = max sep_traps other in
-          let c = Graph.node_pos graph v in
-          match Coord.Tbl.find_opt hits c with
-          | Some (s0, _) when s0 >= s -> ()
-          | _ -> Coord.Tbl.replace hits c (s, l)
-        end
+  | Ok comp -> bottlenecks comp (Graph.build comp)
+
+(* Traps unreachable from trap 0: BFS over the turn-aware routing graph. *)
+let unreachable_traps comp graph =
+  let seen = Array.make (Graph.num_nodes graph) false in
+  let q = Queue.create () in
+  Queue.add (Graph.trap_node graph 0) q;
+  seen.(Graph.trap_node graph 0) <- true;
+  while not (Queue.is_empty q) do
+    let n = Queue.pop q in
+    List.iter
+      (fun (e : Graph.edge) ->
+        if not seen.(e.Graph.dst) then begin
+          seen.(e.Graph.dst) <- true;
+          Queue.add e.Graph.dst q
+        end)
+      (Graph.adj graph n)
+  done;
+  Array.to_list (Component.traps comp)
+  |> List.filter (fun (t : Component.trap) -> not seen.(Graph.trap_node graph t.Component.tid))
+
+(* Channel segments with fewer than two junction endpoints that serve no
+   trap tap. *)
+let dead_end_segments comp =
+  let traps = Component.traps comp in
+  Array.fold_left
+    (fun acc (s : Component.segment) ->
+      let cells = s.Component.cells in
+      let len = Array.length cells in
+      let dir_lo, dir_hi =
+        match s.Component.orientation with
+        | Cell.Horizontal -> (Coord.West, Coord.East)
+        | Cell.Vertical -> (Coord.North, Coord.South)
       in
-      for root = 0 to n - 1 do
-        if disc.(root) < 0 then begin
-          (* iterative DFS: each frame is (node, parent, remaining edges) *)
-          let comp_traps = ref 0 in
-          let stack = ref [] in
-          let push v parent =
-            disc.(v) <- !counter;
-            low.(v) <- !counter;
-            incr counter;
-            trap_sub.(v) <- (if is_trap.(v) then 1 else 0);
-            if is_trap.(v) then incr comp_traps;
-            stack := (v, parent, ref (Graph.adj graph v), ref 0) :: !stack
-          in
-          push root (-1);
-          let splits = ref [] (* (v, child_traps) for articulation children *) in
-          let root_children = ref 0 and root_child_traps = ref [] in
-          while !stack <> [] do
-            match !stack with
-            | [] -> ()
-            | (v, parent, edges, _) :: rest -> (
-                match !edges with
-                | e :: tl ->
-                    edges := tl;
-                    let w = e.Graph.dst in
-                    if disc.(w) < 0 then push w v
-                    else if w <> parent then low.(v) <- min low.(v) disc.(w)
-                | [] ->
-                    stack := rest;
-                    (match rest with
-                    | (p, _, _, _) :: _ ->
-                        low.(p) <- min low.(p) low.(v);
-                        trap_sub.(p) <- trap_sub.(p) + trap_sub.(v);
-                        if p = root then begin
-                          incr root_children;
-                          root_child_traps := trap_sub.(v) :: !root_child_traps
-                        end
-                        else if low.(v) >= disc.(p) then splits := (p, trap_sub.(v)) :: !splits
-                    | [] -> ()))
-          done;
-          let total = !comp_traps in
-          List.iter (fun (v, child_traps) -> record v child_traps total) !splits;
-          (* the root is an articulation point iff it has >= 2 DFS children;
-             each child subtree is then a separated side *)
-          if !root_children >= 2 then
-            List.iter (fun child_traps -> record root child_traps total) !root_child_traps
-        end
-      done;
-      Coord.Tbl.fold
-        (fun c (s, l) acc -> if Component.junction_at comp c <> None then (c, s, l) :: acc else acc)
-        hits []
-      |> List.sort (fun (a, _, _) (b, _, _) -> Coord.compare a b)
+      let junction_end c step = Component.junction_at comp (Coord.step c step) <> None in
+      let ends =
+        (if junction_end cells.(0) dir_lo then 1 else 0)
+        + if junction_end cells.(len - 1) dir_hi then 1 else 0
+      in
+      let serves_tap =
+        Array.exists
+          (fun (t : Component.trap) -> Array.exists (fun c -> Coord.equal c t.Component.tap) cells)
+          traps
+      in
+      if ends < 2 && not serves_tap then acc + 1 else acc)
+    0 (Component.segments comp)
 
 let max_reported_bottlenecks = 5
 
 let check ?num_qubits ?(channel_capacity = 2) lay =
-  let findings = ref (Lint.check ?num_qubits lay) in
-  let emit f = findings := f :: !findings in
-  (match Component.extract lay with
-  | Error _ -> () (* Lint already reported [malformed] *)
+  match Component.extract lay with
+  | Error msg -> [ F.make ~pass ~kind:"malformed" F.Error "%s" msg ]
   | Ok comp ->
-      let bottlenecks = bottleneck_junctions lay in
+      (* emission order is part of the report: [F.sort] is stable within a
+         severity, so findings print in reverse emission order *)
+      let findings = ref [] in
+      let emit f = findings := f :: !findings in
+      let graph = Graph.build comp in
+      let ntraps = Array.length (Component.traps comp) in
+      if ntraps = 0 then emit (F.make ~pass ~kind:"no-traps" F.Error "fabric has no traps: no gate can execute")
+      else begin
+        match unreachable_traps comp graph with
+        | [] -> ()
+        | first :: _ as unreachable ->
+            emit
+              (F.make ~pass ~kind:"disconnected" ~loc:(F.Cell first.Component.tpos) F.Error
+                 "fabric is disconnected: %d of %d traps unreachable from trap 0 (e.g. the trap at %s)"
+                 (List.length unreachable) ntraps (Coord.to_string first.Component.tpos))
+      end;
+      (match num_qubits with
+      | Some nq -> (
+          match Component.capacity_error ~num_qubits:nq comp with
+          | Some msg -> emit (F.make ~pass ~kind:"trap-capacity" F.Error "%s" msg)
+          | None ->
+              if 2 * nq > ntraps then
+                emit
+                  (F.make ~pass ~kind:"tight-capacity" F.Warning
+                     "only %d traps for %d qubits: placement has little slack and congestion will be high"
+                     ntraps nq))
+      | None -> ());
+      if Array.length (Component.junctions comp) = 0 then
+        emit (F.make ~pass ~kind:"no-junctions" F.Hint "no junctions: a linear fabric (no turns are possible)");
+      let dead_ends = dead_end_segments comp in
+      if dead_ends > 0 then
+        emit
+          (F.make ~pass ~kind:"dead-end" F.Warning "%d dead-end channel segment(s) serve no trap: wasted fabric area"
+             dead_ends);
+      let bottlenecks = bottlenecks comp graph in
       let nb = List.length bottlenecks in
       List.iteri
         (fun i (c, s, l) ->
@@ -125,8 +203,8 @@ let check ?num_qubits ?(channel_capacity = 2) lay =
                  F.Warning
                  "channels hold at most %d ions in transit (capacity %d x %d segments) but the program has %d qubits: transport serializes"
                  transit channel_capacity nseg nq)
-      | None -> ()));
-  F.sort !findings
+      | None -> ());
+      F.sort !findings
 
 let check_result ?num_qubits ?channel_capacity = function
   | Ok lay -> check ?num_qubits ?channel_capacity lay

@@ -1,11 +1,22 @@
-(** Fabric analysis (pass ["fabric"]): absorbs {!Fabric.Lint} and extends it
-    with whole-mapper context.
+(** Fabric analysis (pass ["fabric"]): the one fabric lint.  [qspr lint],
+    the [qspr map] gate, [qspr fabric --lint] and the service's lint
+    ingress ({!Registry.lint}) all run {!check}, which extracts the
+    components once and builds one routing graph.
 
-    From {!Fabric.Lint.check} (structural): [malformed], [no-traps],
-    [disconnected], [trap-capacity], [tight-capacity], [no-junctions],
-    [dead-end].
+    Structural findings, for user-authored fabrics:
+    - [malformed] (error): {!Fabric.Component.extract} rejects the layout;
+    - [no-traps] (error): no gate can execute;
+    - [disconnected] (error): traps that cannot reach trap 0 over the
+      turn-aware routing graph;
+    - [trap-capacity] (error): fewer traps than program qubits
+      ({!Fabric.Component.capacity_error});
+    - [tight-capacity] (warning): fewer than two traps per qubit;
+    - [no-junctions] (hint): a linear fabric, flagged so grid users notice
+      a parse surprise;
+    - [dead-end] (warning): channel segments with fewer than two junction
+      endpoints that serve no trap — wasted fabric area.
 
-    Added here:
+    Whole-mapper context:
     - [bottleneck] (warning): a junction that is an articulation point of
       the turn-aware routing graph with traps on both sides — every
       crossing ion serializes through its limited capacity, the congestion

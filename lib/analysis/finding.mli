@@ -1,8 +1,8 @@
 (** The shared diagnostic currency, re-exported.
 
     The concrete type lives in the standalone [analysis_finding] library so
-    low-level producers ({!Fabric.Lint}, {!Scheduler.Static.validate}) can
-    return findings without depending on this library; everything above —
+    low-level producers such as {!Scheduler.Static.validate} can return
+    findings without depending on this library; everything above —
     the passes here, the CLI, the tests — spells it [Analysis.Finding]. *)
 
 include module type of struct

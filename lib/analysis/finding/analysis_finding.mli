@@ -4,8 +4,8 @@
     the config sanity pass, the schedule validator, the trace certifier and
     the parallel-determinism detector — reports problems as values of one
     finding type, so the CLI, CI and tests can render, count and gate on
-    them uniformly.  This module lives below every producer ({!Fabric.Lint},
-    [Scheduler.Static], the [analysis] library) and is re-exported there as
+    them uniformly.  This module lives below every producer
+    ([Scheduler.Static], the [analysis] library) and is re-exported there as
     [Analysis.Finding].
 
     A finding carries the {e pass} that produced it, a {e severity}, a

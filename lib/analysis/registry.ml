@@ -28,7 +28,7 @@ let lint ?program ?fabric ?config () =
     | Some r -> Fabric_check.check_result ?num_qubits ?channel_capacity r
     | None -> []
   in
-  let config_findings = match config with Some cfg -> Config_check.check ?num_qubits cfg | None -> [] in
+  let config_findings = match config with Some cfg -> Config_check.check cfg | None -> [] in
   F.sort (program_findings @ fabric_findings @ config_findings)
 
 let render findings =

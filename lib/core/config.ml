@@ -21,56 +21,12 @@ type t = {
 }
 
 (* QSPR_JOBS sets the default worker-domain count; anything unparsable or
-   below 1 falls back to sequential. *)
+   below 1 falls back to sequential.  It is the only environment input:
+   results are bit-identical at any job count, so it cannot change one. *)
 let jobs_from_env () =
   match Sys.getenv_opt "QSPR_JOBS" with
   | None -> 1
   | Some s -> ( match int_of_string_opt (String.trim s) with Some j when j >= 1 -> j | _ -> 1)
-
-(* QSPR_PRESCREEN sets the default estimator pre-screening width; unset,
-   unparsable or below 1 leaves pre-screening off. *)
-let prescreen_from_env () =
-  match Sys.getenv_opt "QSPR_PRESCREEN" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with Some k when k >= 1 -> Some k | _ -> None)
-
-(* QSPR_SA_MOVES sets the default delta-annealing move budget; unset,
-   unparsable or below 1 keeps the built-in default. *)
-let sa_moves_from_env () =
-  match Sys.getenv_opt "QSPR_SA_MOVES" with
-  | None -> 20_000
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with Some k when k >= 1 -> k | _ -> 20_000)
-
-(* QSPR_BUDGET sets the default wall-clock budget in seconds (float), and
-   QSPR_BUDGET_EVALS the default evaluation cap; unset, unparsable or
-   non-positive values leave the corresponding budget off. *)
-let budget_from_env () =
-  let wall_s =
-    match Sys.getenv_opt "QSPR_BUDGET" with
-    | None -> None
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with Some w when w > 0.0 -> Some w | _ -> None)
-  in
-  let max_evals =
-    match Sys.getenv_opt "QSPR_BUDGET_EVALS" with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with Some k when k >= 1 -> Some k | _ -> None)
-  in
-  { wall_s; max_evals; deadline = None }
-
-(* QSPR_INCREMENTAL toggles the incremental routing stack (dirty-net
-   negotiation + cross-candidate route cache); anything but an explicit
-   off-value leaves it on — the legacy path exists for A/B comparison. *)
-let incremental_from_env () =
-  match Sys.getenv_opt "QSPR_INCREMENTAL" with
-  | None -> true
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "false" | "off" | "no" -> false
-      | _ -> true)
 
 let default =
   {
@@ -78,13 +34,13 @@ let default =
     qspr_policy = Simulator.Engine.qspr_policy;
     quale_policy = Simulator.Engine.quale_policy;
     m = 100;
-    sa_moves = sa_moves_from_env ();
+    sa_moves = 20_000;
     patience = 3;
     rng_seed = 2012;
     jobs = jobs_from_env ();
-    prescreen_k = prescreen_from_env ();
-    budget = budget_from_env ();
-    incremental_routing = incremental_from_env ();
+    prescreen_k = None;
+    budget = no_budget;
+    incremental_routing = true;
   }
 
 let with_m m t = { t with m }

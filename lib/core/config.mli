@@ -49,19 +49,16 @@ type t = {
           hits replay the uncached search verbatim); Pathfinder negotiation
           converges to an equal-quality fixpoint that may pick different
           equal-cost routes past iteration 1.  Off retains the legacy
-          full-reroute / uncached path for A/B comparison. *)
+          full-reroute / uncached path as the test oracle. *)
 }
 
 val default : t
 (** Paper values: T_move=1us, T_turn=10us, T_1q=10us, T_2q=100us, channel
-    capacity 2, m=100, patience 3.  [jobs] comes from the [QSPR_JOBS]
-    environment variable (default 1; invalid values fall back to 1);
-    [prescreen_k] from [QSPR_PRESCREEN] (default off; invalid values stay
-    off); [budget] from [QSPR_BUDGET] (wall-clock seconds, float) and
-    [QSPR_BUDGET_EVALS] (evaluation cap), both off by default; [sa_moves]
-    from [QSPR_SA_MOVES] (default 20_000; invalid values keep the default);
-    [incremental_routing] from [QSPR_INCREMENTAL] (default on; "0", "false",
-    "off" and "no" turn it off). *)
+    capacity 2, m=100, sa_moves=20_000, patience 3, no pre-screening, no
+    budgets, incremental routing on.  Only [jobs] comes from the
+    environment, the [QSPR_JOBS] variable (default 1; invalid values fall
+    back to 1); it cannot change any result.  Every other field changes
+    through the [with_*] setters alone. *)
 
 val with_m : int -> t -> t
 val with_sa_moves : int -> t -> t

@@ -123,8 +123,7 @@ let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?shared_routes
           let nq = Program.num_qubits program in
           if nq = 0 then Error "Mapper.create: program declares no qubits"
           else
-          (* trap starvation is Fabric.Lint's check; keep a single home for it *)
-          match Fabric.Lint.capacity_error ~num_qubits:nq comp with
+          match Fabric.Component.capacity_error ~num_qubits:nq comp with
           | Some msg -> Error ("Mapper.create: " ^ msg)
           | None -> begin
             let dag = Dag.of_program program in

@@ -129,8 +129,8 @@ val map_mvfb : ?m:int -> ?jobs:int -> ?prescreen_k:int -> t -> (solution, error)
     fans the [m] independent seeds out over that many domains; any job
     count returns a bit-identical solution.
 
-    [prescreen_k] (default: the config's [prescreen_k], itself off unless
-    [QSPR_PRESCREEN] is set) estimates every unique seed placement with the
+    [prescreen_k] (default: the config's [prescreen_k], off in
+    {!Config.default}) estimates every unique seed placement with the
     {!estimate} model and locally searches only the [k] best-estimated;
     [0] forces pre-screening off regardless of the config. *)
 
@@ -166,7 +166,7 @@ val map_portfolio : ?m:int -> ?sa_moves:int -> ?jobs:int -> t -> (solution, erro
 
     [m] (default config [m]) is the per-strategy routed-evaluation budget:
     MVFB seeds, MC runs, classic-SA schedule length.  [sa_moves] defaults to
-    the config's [sa_moves] ([QSPR_SA_MOVES], default 20_000).  Every
+    the config's [sa_moves] (20_000 in {!Config.default}).  Every
     strategy derives its randomness from the config seed alone, strategies
     map over the pool in fixed order, and the winner is the lowest
     [(latency, strategy order)], so the solution is bit-identical at any

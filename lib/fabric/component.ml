@@ -103,3 +103,9 @@ let nearest_traps t from =
     Array.to_list t.traps |> List.map (fun tr -> (Coord.manhattan from tr.tpos, tr.tid))
   in
   List.sort compare keyed |> List.map snd
+
+let capacity_error ~num_qubits t =
+  let ntraps = Array.length t.traps in
+  if ntraps < num_qubits then
+    Some (Printf.sprintf "fabric has %d traps but the program needs %d qubits" ntraps num_qubits)
+  else None

@@ -44,3 +44,9 @@ val trap_at : t -> Ion_util.Coord.t -> int option
 val nearest_traps : t -> Ion_util.Coord.t -> int list
 (** All trap ids ordered by Manhattan distance from the given coordinate
     (ties broken by id); the placement and trap-selection primitive. *)
+
+val capacity_error : num_qubits:int -> t -> string option
+(** The message of the trap-starvation error ([num_qubits] exceeding the
+    trap count), if it applies — the single home of that check: the mapper
+    front door ([Qspr.Mapper.create]) and the fabric lint pass
+    ([Analysis.Fabric_check]) both report it through here. *)

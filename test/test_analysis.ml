@@ -139,6 +139,45 @@ let test_fabric_absorbs_lint () =
   check_bool "disconnected" true (has_kind "disconnected" fs);
   check_bool "linear hint" true (has_kind "no-junctions" fs)
 
+(* Structural checks, formerly a separate fabric lint; same assertions. *)
+
+let is_clean ?num_qubits lay = F.is_clean (Analysis.Fabric_check.check ?num_qubits lay)
+
+let test_lint_clean_fabrics () =
+  check_bool "45x85 clean" true (is_clean ~num_qubits:23 (Fabric.Layout.quale_45x85 ()));
+  check_bool "small tile clean for 2 qubits" true (is_clean ~num_qubits:2 (Fabric.Layout.small_tile ()))
+
+let test_lint_disconnected () =
+  let lay = parse_fabric "J-JT\n\nJ-JT\n" in
+  let findings = Analysis.Fabric_check.check lay in
+  check_bool "errors" false (is_clean lay);
+  check_bool "mentions disconnection" true
+    (List.exists
+       (fun f ->
+         f.F.severity = F.Error
+         &&
+         let m = f.F.message in
+         String.length m > 12 && String.sub m 0 12 = "fabric is di")
+       findings)
+
+let test_lint_capacity () =
+  let lay = Fabric.Layout.small_tile () in
+  (* 4 traps: 10 qubits is an error, 3 qubits a warning *)
+  check_bool "overfull is error" false (is_clean ~num_qubits:10 lay);
+  let warnings = Analysis.Fabric_check.check ~num_qubits:3 lay in
+  check_bool "tight is warning" true (List.exists (fun f -> f.F.severity = F.Warning) warnings)
+
+let test_lint_linear_info () =
+  let findings = Analysis.Fabric_check.check (Fabric.Layout.linear ~traps:4 ()) in
+  check_bool "no errors" true (is_clean (Fabric.Layout.linear ~traps:4 ()));
+  check_bool "junction-free hint" true (List.exists (fun f -> f.F.severity = F.Hint) findings)
+
+let test_lint_pp () =
+  let findings = Analysis.Fabric_check.check ~num_qubits:10 (Fabric.Layout.small_tile ()) in
+  List.iter
+    (fun f -> check_bool "prints" true (String.length (Format.asprintf "%a" F.pp f) > 0))
+    findings
+
 (* -------------------------------------------------------------- config *)
 
 let test_config_prescreen () =
@@ -159,6 +198,11 @@ let test_config_invalid () =
   let fs = Analysis.Config_check.check cfg in
   check_bool "invalid config is an error" true (has_kind "invalid" fs);
   check_int "exit 2" 2 (F.exit_code fs)
+
+let test_config_service_base_clean () =
+  (* the service pins jobs = 1; its lint findings must not depend on the host *)
+  check_int "no findings" 0
+    (List.length (Analysis.Config_check.check (Qspr.Config.with_jobs 1 Qspr.Config.default)))
 
 (* ------------------------------------------------------------ registry *)
 
@@ -440,10 +484,19 @@ let () =
           Alcotest.test_case "transit capacity" `Quick test_fabric_transit_capacity;
           Alcotest.test_case "absorbs lint" `Quick test_fabric_absorbs_lint;
         ] );
+      ( "lint",
+        [
+          Alcotest.test_case "clean fabrics" `Quick test_lint_clean_fabrics;
+          Alcotest.test_case "disconnected" `Quick test_lint_disconnected;
+          Alcotest.test_case "capacity" `Quick test_lint_capacity;
+          Alcotest.test_case "linear info" `Quick test_lint_linear_info;
+          Alcotest.test_case "pp" `Quick test_lint_pp;
+        ] );
       ( "config",
         [
           Alcotest.test_case "prescreen" `Quick test_config_prescreen;
           Alcotest.test_case "invalid" `Quick test_config_invalid;
+          Alcotest.test_case "service base config is clean" `Quick test_config_service_base_clean;
         ] );
       ( "registry",
         [

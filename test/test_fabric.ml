@@ -314,44 +314,6 @@ let test_dot_routing_graph () =
        s;
      !found)
 
-(* ----------------------------------------------------------------- Lint *)
-
-let test_lint_clean_fabrics () =
-  check_bool "45x85 clean" true (Lint.is_clean ~num_qubits:23 (Layout.quale_45x85 ()));
-  check_bool "small tile clean for 2 qubits" true (Lint.is_clean ~num_qubits:2 (Layout.small_tile ()))
-
-let test_lint_disconnected () =
-  let lay = match Layout.parse "J-JT\n\nJ-JT\n" with Ok l -> l | Error e -> Alcotest.fail e in
-  let findings = Lint.check lay in
-  check_bool "errors" false (Lint.is_clean lay);
-  check_bool "mentions disconnection" true
-    (List.exists
-       (fun f ->
-         f.Analysis_finding.severity = Analysis_finding.Error
-         &&
-         let m = f.Analysis_finding.message in
-         String.length m > 12 && String.sub m 0 12 = "fabric is di")
-       findings)
-
-let test_lint_capacity () =
-  let lay = Layout.small_tile () in
-  (* 4 traps: 10 qubits is an error, 3 qubits a warning *)
-  check_bool "overfull is error" false (Lint.is_clean ~num_qubits:10 lay);
-  let warnings = Lint.check ~num_qubits:3 lay in
-  check_bool "tight is warning" true
-    (List.exists (fun f -> f.Analysis_finding.severity = Analysis_finding.Warning) warnings)
-
-let test_lint_linear_info () =
-  let findings = Lint.check (Layout.linear ~traps:4 ()) in
-  check_bool "no errors" true (Lint.is_clean (Layout.linear ~traps:4 ()));
-  check_bool "junction-free hint" true (List.exists (fun f -> f.Analysis_finding.severity = Analysis_finding.Hint) findings)
-
-let test_lint_pp () =
-  let findings = Lint.check ~num_qubits:10 (Layout.small_tile ()) in
-  List.iter
-    (fun f -> check_bool "prints" true (String.length (Format.asprintf "%a" Lint.pp_finding f) > 0))
-    findings
-
 (* --------------------------------------------------------------- Render *)
 
 let test_render_marks () =
@@ -431,14 +393,6 @@ let () =
         [
           Alcotest.test_case "component graph" `Quick test_dot_component_graph;
           Alcotest.test_case "routing graph" `Quick test_dot_routing_graph;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "clean fabrics" `Quick test_lint_clean_fabrics;
-          Alcotest.test_case "disconnected" `Quick test_lint_disconnected;
-          Alcotest.test_case "capacity" `Quick test_lint_capacity;
-          Alcotest.test_case "linear info" `Quick test_lint_linear_info;
-          Alcotest.test_case "pp" `Quick test_lint_pp;
         ] );
       ( "render",
         [
