@@ -22,7 +22,11 @@
      independent Mapper runs bit for bit, certifies, runs strictly fewer
      searches than the cold services and is at most 1.15x slower;
    - memory: a warm forward evaluation of [[5,1,3]] / [[7,1,3]] stays
-     >= 5x below the pre-arena engine's exact minor-word count. *)
+     >= 5x below the pre-arena engine's exact minor-word count;
+   - ready-set scaling: forward evaluations of 40-qubit random Clifford
+     programs at 1k / 4k / 16k gates return the latency bits of the
+     full-scan engine, and the engine's exact ready-set work per gate at
+     16k stays within 1.5x of that at 1k (wall times printed, not gated). *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("bench-smoke: " ^ m); exit 1) fmt
 
@@ -458,6 +462,49 @@ let () =
         fail "%s: warm evaluation allocates %.0f minor words (ceiling %.0f) — arena regression" name
           words ceiling)
     [ ("[[5,1,3]]", 13_818.0); ("[[7,1,3]]", 14_542.0) ];
+  (* ready-set scaling group: the engine's ready-set work must grow
+     linearly in program size.  [ready_visits] counts exactly the ids each
+     issue round snapshots plus the ids requeued from the busy queue; a
+     ready set that scanned every instruction per round would make the work
+     per gate grow with the program (issue rounds grow linearly too).  The
+     latency bits were recorded with the full-scan ready set (10488 / 37023
+     / 152657 us): how the ready set is kept must not change a schedule. *)
+  let visits_per_gate =
+    List.map
+      (fun (gates, bits) ->
+        let p =
+          Circuits.Library.random_clifford (Ion_util.Rng.derive 1 ~index:gates) ~num_qubits:40 ~gates
+        in
+        let ctx =
+          match Qspr.Mapper.create ~fabric p with
+          | Ok c -> c
+          | Error e -> fail "scaling %d gates: %s" gates e
+        in
+        let placement = center ctx in
+        let t0 = Ion_util.Clock.now_s () in
+        let r =
+          match Qspr.Mapper.run_forward ctx placement with
+          | Ok r -> r
+          | Error e -> fail "scaling %d gates: %s" gates (Simulator.Engine.string_of_error e)
+        in
+        let wall_ms = (Ion_util.Clock.now_s () -. t0) *. 1000.0 in
+        check_bits
+          (Printf.sprintf "scaling %d gates: latency vs the full-scan engine" gates)
+          r.Simulator.Engine.latency (Int64.float_of_bits bits);
+        let per_gate =
+          float_of_int r.Simulator.Engine.ready_visits /. float_of_int (Qasm.Program.gate_count p)
+        in
+        Printf.printf "bench-smoke: %5d gates forward eval %.0f ms, %.2f ready-set visits per gate\n"
+          gates wall_ms per_gate;
+        per_gate)
+      [ (1_000, 0x40c47c0000000000L); (4_000, 0x40e213e000000000L); (16_000, 0x4102a28800000000L) ]
+  in
+  (match visits_per_gate with
+  | [ v1k; _; v16k ] ->
+      if v16k > 1.5 *. v1k then
+        fail "ready-set work grows superlinearly: %.2f visits per gate at 16k vs %.2f at 1k (max 1.5x)"
+          v16k v1k
+  | _ -> assert false);
   print_endline
     "bench-smoke: OK (workspace routing and A* exact, parallel search exact, estimator pure, \
      prescreen consistent, winner certified, certified bound admissible and deterministic, fault \
@@ -465,4 +512,5 @@ let () =
      pathfinder dirty-net schedule converges with fewer searches, incremental on/off identical, \
      delta transactions exact and delta-SA >= 10x full-estimate SA, portfolio deterministic and \
      never worse than the anneal, service batch deterministic and identical to independent runs \
-     with fewer searches, warm evaluation >= 5x below the pre-arena allocation)"
+     with fewer searches, warm evaluation >= 5x below the pre-arena allocation, ready-set work \
+     linear in program size with unchanged latencies)"

@@ -105,13 +105,6 @@ let run_congestion () =
   let qspr, quale = Qspr.Experiments.congestion_maps () in
   Printf.printf "QSPR mapping:\n%s\nQUALE mapping:\n%s\n" qspr quale
 
-let run_scaling () =
-  line "Scaling on random Clifford workloads (MVFB m=3)";
-  Printf.printf "  %8s %8s %14s %10s\n" "qubits" "gates" "latency (us)" "cpu (s)";
-  List.iter
-    (fun (nq, gates, latency, cpu) -> Printf.printf "  %8d %8d %14.0f %10.2f\n" nq gates latency cpu)
-    (Qspr.Experiments.scaling_study ())
-
 let run_placers () =
   line "Placer comparison ([[9,1,3]], equal evaluation budgets)";
   Printf.printf "  %-24s %14s %14s\n" "placer" "latency (us)" "evaluations";
@@ -326,7 +319,6 @@ let () =
       ("prescreen", run_prescreen);
       ("congestion", run_congestion);
       ("faults", run_faults);
-      ("scaling", run_scaling);
       ("gaps", run_gaps);
       ("fig23", run_fig23);
       ("fig4", run_fig4);

@@ -116,17 +116,6 @@ let congestion_maps ?(circuit = "[[19,1,7]]") () =
   ( Simulator.Heatmap.render comp qspr.Mapper.trace,
     Simulator.Heatmap.render comp quale.Mapper.trace )
 
-let scaling_study ?(cases = [ (5, 30); (10, 60); (15, 120); (20, 200) ]) () =
-  List.map
-    (fun (nq, gates) ->
-      let rng = Ion_util.Rng.create (1000 + nq) in
-      let p = Circuits.Library.random_clifford rng ~num_qubits:nq ~gates in
-      let ctx = context p in
-      let t0 = Sys.time () in
-      let sol = solve_exn "MVFB" (Mapper.map_mvfb ~m:3 ctx) in
-      (nq, gates, sol.Mapper.latency, Sys.time () -. t0))
-    cases
-
 let placer_comparison ?(circuit = "[[9,1,3]]") () =
   let p =
     match List.assoc_opt circuit (default_circuits ()) with

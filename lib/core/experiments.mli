@@ -41,11 +41,6 @@ val congestion_maps : ?circuit:string -> unit -> string * string
     circuit (default [[19,1,7]]) — the spatial view of why capacity-1
     routing hurts. *)
 
-val scaling_study : ?cases:(int * int) list -> unit -> (int * int * float * float) list
-(** Mapper scalability on random Clifford workloads: for each
-    (qubits, gates) case, the mapped latency (us) and mapping CPU time (s)
-    under MVFB m=3.  Defaults: (5,30), (10,60), (15,120), (20,200). *)
-
 val placer_comparison : ?circuit:string -> unit -> (string * float * int) list
 (** All five placers at (approximately) equal evaluation budgets on one
     circuit: (placer, latency us, schedule-and-route evaluations).  Center

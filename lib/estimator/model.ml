@@ -284,7 +284,7 @@ let estimate t placement =
     while !again do
       again := false;
       (* compact away issued entries, then insertion-sort the prefix by
-         (priority desc, id asc) — Ready_set.ready's order *)
+         (priority desc, id asc) — Ready_set.iter_ready's order *)
       let w = ref 0 in
       for r = 0 to !nready - 1 do
         if status.(ready.(r)) = 1 then begin

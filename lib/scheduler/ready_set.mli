@@ -4,23 +4,27 @@
     unfinished; exposes the ready instructions in priority order; and keeps
     the paper's {e busy queue} of instructions that were ready but could not
     be routed — those return to the ready set when the fabric state changes
-    ({!requeue_busy}). *)
+    ({!requeue_busy}).
+
+    Cost contract: after {!create} (O(instructions)), no call touches more
+    than the ready and deferred instructions themselves.  The ready ids live
+    in an unordered bag with a position index, so {!mark_issued},
+    {!mark_done}, {!defer} and unblocking a successor are O(1) (plus the
+    completed instruction's successor list); {!iter_ready} is O(k²) in the
+    ready-set size k, never in program size; {!requeue_busy} is
+    O(deferred).  Nothing allocates except {!mark_done}'s result list. *)
 
 type t
 
 val create : Qasm.Dag.t -> priorities:float array -> t
 (** @raise Invalid_argument on length mismatch. *)
 
-val ready : t -> int list
-(** Ready, unissued, non-deferred instructions, highest priority first
-    (ties toward lower id). *)
-
 val iter_ready : t -> (int -> unit) -> unit
-(** [iter_ready t f] applies [f] to exactly the ids [ready] would return,
-    in the same order, without allocating: a reusable internal buffer
-    snapshots the ready set before the first call to [f], so [f] may
-    mutate the set (issue, defer, complete) just as engine issue rounds
-    do when iterating the materialized list.  Not reentrant: [f] must not
+(** [iter_ready t f] applies [f] to the ready (unissued, non-deferred)
+    instructions, highest priority first with ties toward lower id, without
+    allocating: a reusable internal buffer snapshots and sorts the ready set
+    before the first call to [f], so [f] may mutate the set (issue, defer,
+    complete) as engine issue rounds do.  Not reentrant: [f] must not
     itself call [iter_ready] on the same [t]. *)
 
 val is_ready : t -> int -> bool
@@ -40,7 +44,14 @@ val defer : t -> int -> unit
 val requeue_busy : t -> unit
 (** Busy-queue instructions become ready again. *)
 
+val ready_count : t -> int
+(** Ready, unissued, non-deferred instructions; O(1). *)
+
 val busy_count : t -> int
 val done_count : t -> int
 val all_done : t -> bool
 val in_flight_count : t -> int
+
+val visits : t -> int
+(** Exact ready-set work so far: ids snapshotted by {!iter_ready} plus ids
+    moved back by {!requeue_busy}. *)

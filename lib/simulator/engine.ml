@@ -37,6 +37,7 @@ type result = {
   total_routing_time : float;
   route_searches : int;
   route_cache_hits : int;
+  ready_visits : int;
 }
 
 (* Events are int-packed for the unboxed event queue: bit 0 tags the kind
@@ -524,7 +525,7 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
                  {
                    stuck =
                      Scheduler.Ready_set.busy_count st.ready_set
-                     + List.length (Scheduler.Ready_set.ready st.ready_set)
+                     + Scheduler.Ready_set.ready_count st.ready_set
                      + Hashtbl.length st.flights;
                  })
         else begin
@@ -598,6 +599,7 @@ let run ~graph ~timing ~policy ~dag ~priorities ~placement ?(max_events_factor =
                 total_routing_time;
                 route_searches = st.route_searches;
                 route_cache_hits = st.route_cache_hits;
+                ready_visits = Scheduler.Ready_set.visits st.ready_set;
               }
           end
     end

@@ -47,6 +47,9 @@ type result = {
   total_routing_time : float;
   route_searches : int;  (** single-net Dijkstra searches actually run *)
   route_cache_hits : int;  (** searches served verbatim from the route cache *)
+  ready_visits : int;
+      (** exact ready-set work: ids snapshotted by issue rounds plus ids
+          requeued from the busy queue ({!Scheduler.Ready_set.visits}) *)
 }
 
 type error =

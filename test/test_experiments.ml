@@ -94,13 +94,6 @@ let test_empirical_noise_agrees () =
         (Float.abs (measured -. analytic) < 0.15))
     rows
 
-let test_scaling_study_runs () =
-  let rows = Experiments.scaling_study ~cases:[ (4, 10); (6, 20) ] () in
-  check_int "two cases" 2 (List.length rows);
-  List.iter (fun (_, _, latency, cpu) ->
-      check_bool "positive" true (latency > 0.0 && cpu >= 0.0))
-    rows
-
 let test_fabric_study_rows () =
   let rows = Experiments.fabric_study ~circuit:"[[5,1,3]]" () in
   check_bool "several rows" true (List.length rows >= 6);
@@ -177,7 +170,6 @@ let () =
           Alcotest.test_case "noise study" `Slow test_noise_study_qspr_wins;
           Alcotest.test_case "congestion maps" `Quick test_congestion_maps_render;
           Alcotest.test_case "empirical noise" `Slow test_empirical_noise_agrees;
-          Alcotest.test_case "scaling study" `Quick test_scaling_study_runs;
           Alcotest.test_case "fabric study" `Slow test_fabric_study_rows;
           Alcotest.test_case "wave study" `Slow test_wave_study_rows;
           Alcotest.test_case "objective study" `Quick test_objective_study;

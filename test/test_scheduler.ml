@@ -72,11 +72,17 @@ let test_replay_order_roundtrip () =
 
 (* ------------------------------------------------------------ Ready_set *)
 
+(* the ids one iter_ready snapshot visits, in order *)
+let ready_list rs =
+  let acc = ref [] in
+  Ready_set.iter_ready rs (fun i -> acc := i :: !acc);
+  List.rev !acc
+
 let test_ready_initial () =
   let g = fig3_dag () in
   let rs = Ready_set.create g ~priorities:(Array.make (Dag.num_nodes g) 0.0) in
   (* exactly the 5 declarations are initially ready *)
-  Alcotest.(check (list int)) "decls ready" [ 0; 1; 2; 3; 4 ] (List.sort compare (Ready_set.ready rs));
+  Alcotest.(check (list int)) "decls ready" [ 0; 1; 2; 3; 4 ] (List.sort compare (ready_list rs));
   check_bool "not all done" false (Ready_set.all_done rs)
 
 let test_ready_priority_order () =
@@ -85,7 +91,7 @@ let test_ready_priority_order () =
   prios.(2) <- 5.0;
   prios.(4) <- 3.0;
   let rs = Ready_set.create g ~priorities:prios in
-  (match Ready_set.ready rs with
+  (match ready_list rs with
   | a :: b :: _ ->
       check_int "highest first" 2 a;
       check_int "second" 4 b
@@ -100,7 +106,7 @@ let test_ready_unblocking () =
   let newly = Ready_set.mark_done rs 3 in
   check_bool "C-X q3,q2 ready after q3 and H q2... not yet (H q2 pending)" true
     (not (List.mem 9 newly));
-  check_bool "H gates ready" true (List.mem 5 (Ready_set.ready rs));
+  check_bool "H gates ready" true (List.mem 5 (ready_list rs));
   (* finish H q2 (node 7): C-X q3,q2 (node 9) becomes ready *)
   ignore (Ready_set.mark_issued rs 7);
   let newly = Ready_set.mark_done rs 7 in
@@ -133,7 +139,7 @@ let test_ready_full_drain () =
   (* repeatedly complete any ready instruction; must drain the whole DAG *)
   let steps = ref 0 in
   while (not (Ready_set.all_done rs)) && !steps < 1000 do
-    (match Ready_set.ready rs with
+    (match ready_list rs with
     | [] -> Alcotest.fail "stuck with nothing ready"
     | i :: _ -> ignore (Ready_set.mark_done rs i));
     incr steps
@@ -155,7 +161,7 @@ let prop_drain_respects_deps =
         let ok = ref true in
         let steps = ref 0 in
         while (not (Ready_set.all_done rs)) && !steps < 1000 do
-          (match Ready_set.ready rs with
+          (match ready_list rs with
           | [] -> ok := false
           | i :: _ ->
               order := i :: !order;
@@ -170,6 +176,95 @@ let prop_drain_respects_deps =
           (List.rev !order);
         !ok
       end)
+
+(* model-based: on random QIDGs, random issue / defer / requeue / complete
+   sequences keep the incremental ready bag in step with a reference model
+   that rescans every status and sorts — the snapshot sequence, the returned
+   newly-ready ids and every counter must agree after each step *)
+type model_state = M_waiting | M_ready | M_deferred | M_in_flight | M_done
+
+let prop_ready_set_matches_model =
+  QCheck.Test.make ~name:"ready set agrees with a full-scan model" ~count:200
+    QCheck.(pair (2 -- 12) (int_bound 1_000_000))
+    (fun (nq, seed) ->
+      let rng = Ion_util.Rng.create seed in
+      let g =
+        Dag.of_program
+          (Circuits.Library.random_clifford rng ~num_qubits:nq ~gates:(Ion_util.Rng.int rng 40))
+      in
+      let n = Dag.num_nodes g in
+      (* few distinct priorities, so ties (broken toward lower id) are common *)
+      let prios = Array.init n (fun _ -> float_of_int (Ion_util.Rng.int rng 4)) in
+      let rs = Ready_set.create g ~priorities:prios in
+      let pending = Array.init n (fun i -> List.length (Dag.node g i).Dag.preds) in
+      let st = Array.init n (fun i -> if pending.(i) = 0 then M_ready else M_waiting) in
+      let ids s = List.filter (fun i -> st.(i) = s) (List.init n Fun.id) in
+      let count s = List.length (ids s) in
+      let expected () =
+        List.sort
+          (fun a b -> match Float.compare prios.(b) prios.(a) with 0 -> Int.compare a b | c -> c)
+          (ids M_ready)
+      in
+      let agree step =
+        if ready_list rs <> expected () then QCheck.Test.fail_reportf "step %d: ready order" step;
+        if
+          Ready_set.ready_count rs <> count M_ready
+          || Ready_set.busy_count rs <> count M_deferred
+          || Ready_set.in_flight_count rs <> count M_in_flight
+          || Ready_set.done_count rs <> count M_done
+          || Ready_set.all_done rs <> (count M_done = n)
+        then QCheck.Test.fail_reportf "step %d: counters" step;
+        List.iter
+          (fun i ->
+            if Ready_set.is_ready rs i <> (st.(i) = M_ready) then
+              QCheck.Test.fail_reportf "step %d: is_ready %d" step i)
+          (List.init n Fun.id)
+      in
+      let pick = function
+        | [] -> None
+        | l -> Some (List.nth l (Ion_util.Rng.int rng (List.length l)))
+      in
+      agree 0;
+      let step = ref 0 in
+      while count M_done < n && !step < 20 * (n + 1) do
+        incr step;
+        (match Ion_util.Rng.int rng 4 with
+        | 0 -> (
+            match pick (ids M_ready) with
+            | Some i ->
+                Ready_set.mark_issued rs i;
+                st.(i) <- M_in_flight
+            | None -> ())
+        | 1 -> (
+            match pick (ids M_ready) with
+            | Some i ->
+                Ready_set.defer rs i;
+                st.(i) <- M_deferred
+            | None -> ())
+        | 2 ->
+            Ready_set.requeue_busy rs;
+            Array.iteri (fun i s -> if s = M_deferred then st.(i) <- M_ready) st
+        | _ -> (
+            match pick (ids M_in_flight @ ids M_ready) with
+            | Some i ->
+                let newly = Ready_set.mark_done rs i in
+                st.(i) <- M_done;
+                let expect =
+                  List.filter
+                    (fun s ->
+                      pending.(s) <- pending.(s) - 1;
+                      if pending.(s) = 0 then begin
+                        st.(s) <- M_ready;
+                        true
+                      end
+                      else false)
+                    (Dag.node g i).Dag.succs
+                in
+                if newly <> expect then QCheck.Test.fail_reportf "step %d: newly ready" !step
+            | None -> ()));
+        agree !step
+      done;
+      true)
 
 (* --------------------------------------------------------------- Static *)
 
@@ -243,7 +338,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_ready_errors;
           Alcotest.test_case "full drain" `Quick test_ready_full_drain;
         ]
-        @ qsuite [ prop_drain_respects_deps ] );
+        @ qsuite [ prop_drain_respects_deps; prop_ready_set_matches_model ] );
       ( "static",
         [
           Alcotest.test_case "asap = critical path" `Quick test_static_asap_equals_critical_path;
