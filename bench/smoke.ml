@@ -26,7 +26,11 @@
    - ready-set scaling: forward evaluations of 40-qubit random Clifford
      programs at 1k / 4k / 16k gates return the latency bits of the
      full-scan engine, and the engine's exact ready-set work per gate at
-     16k stays within 1.5x of that at 1k (wall times printed, not gated). *)
+     16k stays within 1.5x of that at 1k (wall times printed, not gated);
+   - bound scaling: on the same programs the certified bound of the center
+     placement keeps its pinned bits, never exceeds the latency, and the
+     placement bound's exact ancestor-search visits per gate at 16k stay
+     within 1.5x of those at 1k (wall times printed, not gated). *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("bench-smoke: " ^ m); exit 1) fmt
 
@@ -462,16 +466,22 @@ let () =
         fail "%s: warm evaluation allocates %.0f minor words (ceiling %.0f) — arena regression" name
           words ceiling)
     [ ("[[5,1,3]]", 13_818.0); ("[[7,1,3]]", 14_542.0) ];
-  (* ready-set scaling group: the engine's ready-set work must grow
-     linearly in program size.  [ready_visits] counts exactly the ids each
-     issue round snapshots plus the ids requeued from the busy queue; a
-     ready set that scanned every instruction per round would make the work
-     per gate grow with the program (issue rounds grow linearly too).  The
-     latency bits were recorded with the full-scan ready set (10488 / 37023
-     / 152657 us): how the ready set is kept must not change a schedule. *)
-  let visits_per_gate =
+  (* ready-set and bound scaling groups, on shared contexts.  Ready set:
+     the engine's ready-set work must grow linearly in program size.
+     [ready_visits] counts exactly the ids each issue round snapshots plus
+     the ids requeued from the busy queue; a ready set that scanned every
+     instruction per round would make the work per gate grow with the
+     program (issue rounds grow linearly too).  The latency bits were
+     recorded with the full-scan ready set (10488 / 37023 / 152657 us): how
+     the ready set is kept must not change a schedule.  Bound: the
+     certified bound of the center placement keeps its bits (7056 / 25078
+     us recorded with per-node ancestor bitsets; 102897 us at 16k, where
+     the bitset version skipped the ancestor term), stays admissible, and
+     the placement bound's co-reader search work per gate
+     ([ancestor_visits]) must not grow with the program either. *)
+  let per_gate =
     List.map
-      (fun (gates, bits) ->
+      (fun (gates, latency_bits, bound_bits) ->
         let p =
           Circuits.Library.random_clifford (Ion_util.Rng.derive 1 ~index:gates) ~num_qubits:40 ~gates
         in
@@ -490,20 +500,42 @@ let () =
         let wall_ms = (Ion_util.Clock.now_s () -. t0) *. 1000.0 in
         check_bits
           (Printf.sprintf "scaling %d gates: latency vs the full-scan engine" gates)
-          r.Simulator.Engine.latency (Int64.float_of_bits bits);
-        let per_gate =
-          float_of_int r.Simulator.Engine.ready_visits /. float_of_int (Qasm.Program.gate_count p)
-        in
-        Printf.printf "bench-smoke: %5d gates forward eval %.0f ms, %.2f ready-set visits per gate\n"
-          gates wall_ms per_gate;
-        per_gate)
-      [ (1_000, 0x40c47c0000000000L); (4_000, 0x40e213e000000000L); (16_000, 0x4102a28800000000L) ]
+          r.Simulator.Engine.latency (Int64.float_of_bits latency_bits);
+        (* the distance tables are built on first use; keep them out of the bound's time *)
+        ignore (Qspr.Mapper.estimator_model ctx);
+        let t0 = Ion_util.Clock.now_s () in
+        let b = Qspr.Mapper.certified_bound ctx ~initial_placement:placement in
+        let bound_ms = (Ion_util.Clock.now_s () -. t0) *. 1000.0 in
+        check_bits
+          (Printf.sprintf "scaling %d gates: certified bound" gates)
+          b.Estimator.Bound.lower_bound_us (Int64.float_of_bits bound_bits);
+        if b.Estimator.Bound.lower_bound_us > r.Simulator.Engine.latency then
+          fail "scaling %d gates: certified bound %.17g exceeds the latency %.17g" gates
+            b.Estimator.Bound.lower_bound_us r.Simulator.Engine.latency;
+        let per g = float_of_int g /. float_of_int (Qasm.Program.gate_count p) in
+        let ready = per r.Simulator.Engine.ready_visits
+        and ancestors = per b.Estimator.Bound.ancestor_visits in
+        Printf.printf
+          "bench-smoke: %5d gates forward eval %.0f ms, %.2f ready-set visits per gate; bound %.1f \
+           ms, %.2f ancestor visits per gate\n"
+          gates wall_ms ready bound_ms ancestors;
+        (ready, ancestors))
+      [
+        (1_000, 0x40c47c0000000000L, 0x40bb900000000000L);
+        (4_000, 0x40e213e000000000L, 0x40d87d8000000000L);
+        (16_000, 0x4102a28800000000L, 0x40f91f1000000000L);
+      ]
   in
-  (match visits_per_gate with
-  | [ v1k; _; v16k ] ->
-      if v16k > 1.5 *. v1k then
+  (match per_gate with
+  | [ (r1k, a1k); _; (r16k, a16k) ] ->
+      if r16k > 1.5 *. r1k then
         fail "ready-set work grows superlinearly: %.2f visits per gate at 16k vs %.2f at 1k (max 1.5x)"
-          v16k v1k
+          r16k r1k;
+      if a16k > 1.5 *. a1k then
+        fail
+          "bound ancestor search grows superlinearly: %.2f visits per gate at 16k vs %.2f at 1k \
+           (max 1.5x)"
+          a16k a1k
   | _ -> assert false);
   print_endline
     "bench-smoke: OK (workspace routing and A* exact, parallel search exact, estimator pure, \
@@ -513,4 +545,5 @@ let () =
      delta transactions exact and delta-SA >= 10x full-estimate SA, portfolio deterministic and \
      never worse than the anneal, service batch deterministic and identical to independent runs \
      with fewer searches, warm evaluation >= 5x below the pre-arena allocation, ready-set work \
-     linear in program size with unchanged latencies)"
+     linear in program size with unchanged latencies, certified bound admissible with pinned bits \
+     and ancestor-search work linear in program size)"

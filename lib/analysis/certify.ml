@@ -31,27 +31,83 @@ let optimality_gap c =
    past the flat->variant decode boundary: the engine builds traces in
    packed arenas (doc/memory.md), but what reaches this pass is the
    materialized [Micro.command list], so digests are a pure function of
-   the commands and can never observe the packed representation. *)
-let render_command buf cmd =
-  match cmd with
-  | Micro.Move { qubit; from_; to_; start; finish } ->
-      Printf.bprintf buf "M%d %d,%d>%d,%d %h %h\n" qubit from_.Coord.x from_.Coord.y to_.Coord.x
-        to_.Coord.y start finish
-  | Micro.Turn { qubit; at; start; finish } ->
-      Printf.bprintf buf "T%d %d,%d %h %h\n" qubit at.Coord.x at.Coord.y start finish
-  | Micro.Gate_start { instr_id; trap; qubits; time } ->
-      Printf.bprintf buf "G+%d %d,%d [%s] %h\n" instr_id trap.Coord.x trap.Coord.y
-        (String.concat "," (List.map string_of_int qubits))
-        time
-  | Micro.Gate_end { instr_id; trap; qubits; time } ->
-      Printf.bprintf buf "G-%d %d,%d [%s] %h\n" instr_id trap.Coord.x trap.Coord.y
-        (String.concat "," (List.map string_of_int qubits))
-        time
+   the commands and can never observe the packed representation.  The
+   bytes are those of [Printf.bprintf "M%d %d,%d>%d,%d %h %h\n" ...] and
+   its siblings, written without the format interpreter: [%d] digits go
+   straight into the buffer and [%h] is the runtime primitive Printf
+   itself calls, at its default precision (-6: as many digits as needed)
+   and sign flag. *)
+external hexstring_of_float : float -> int -> char -> string = "caml_hexstring_of_float"
 
+(* decimal digits of [n <= 0], most significant first; working on the
+   negative side covers [min_int] *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
+let add_hex buf x = Buffer.add_string buf (hexstring_of_float x (-6) '-')
+
+let add_coord buf (c : Coord.t) =
+  add_int buf c.Coord.x;
+  Buffer.add_char buf ',';
+  add_int buf c.Coord.y
+
+let add_gate buf tag instr_id trap qubits time =
+  Buffer.add_string buf tag;
+  add_int buf instr_id;
+  Buffer.add_char buf ' ';
+  add_coord buf trap;
+  Buffer.add_string buf " [";
+  List.iteri
+    (fun k q ->
+      if k > 0 then Buffer.add_char buf ',';
+      add_int buf q)
+    qubits;
+  Buffer.add_string buf "] ";
+  add_hex buf time
+
+let render_command buf cmd =
+  (match cmd with
+  | Micro.Move { qubit; from_; to_; start; finish } ->
+      Buffer.add_char buf 'M';
+      add_int buf qubit;
+      Buffer.add_char buf ' ';
+      add_coord buf from_;
+      Buffer.add_char buf '>';
+      add_coord buf to_;
+      Buffer.add_char buf ' ';
+      add_hex buf start;
+      Buffer.add_char buf ' ';
+      add_hex buf finish
+  | Micro.Turn { qubit; at; start; finish } ->
+      Buffer.add_char buf 'T';
+      add_int buf qubit;
+      Buffer.add_char buf ' ';
+      add_coord buf at;
+      Buffer.add_char buf ' ';
+      add_hex buf start;
+      Buffer.add_char buf ' ';
+      add_hex buf finish
+  | Micro.Gate_start { instr_id; trap; qubits; time } ->
+      add_gate buf "G+" instr_id trap qubits time
+  | Micro.Gate_end { instr_id; trap; qubits; time } -> add_gate buf "G-" instr_id trap qubits time);
+  Buffer.add_char buf '\n'
+
+(* FNV-1a 64 as a plain loop: no closure captures the accumulator, so it
+   stays an unboxed Int64 *)
 let fnv64 s =
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime) s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001b3L
+  done;
   !h
 
 let digest_trace trace =

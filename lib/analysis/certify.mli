@@ -83,7 +83,15 @@ val of_solution :
     dest-pinned/capacity-1 runs. *)
 
 val digest_trace : Simulator.Trace.t -> int64
-(** The certificate digest alone (exposed for tests). *)
+(** The certificate digest alone (exposed for tests): FNV-1a 64 over the
+    concatenated {!render_command} lines. *)
+
+val render_command : Buffer.t -> Router.Micro.command -> unit
+(** Appends one command's canonical digest line — byte-for-byte the
+    [Printf] rendering ["M%d %d,%d>%d,%d %h %h\n"] (moves),
+    ["T%d %d,%d %h %h\n"] (turns) and ["G+%d %d,%d [%s] %h\n"] /
+    ["G-..."] (gate start/end, operands comma-separated), without the
+    format interpreter.  Exposed for tests. *)
 
 val to_json : certificate -> Ion_util.Json.t
 (** Schema ["qspr-certificate/2"]: /1 plus [lower_bound_us], [bound_kind]

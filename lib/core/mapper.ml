@@ -135,7 +135,9 @@ let create ~fabric ?(config = Config.default) ?prebuilt ?distance ?shared_routes
               | Error _ -> (None, None)
             in
             let estimator =
-              lazy (Estimator.Model.create ~graph ~timing:config.Config.timing ?distance dag)
+              lazy
+                (Estimator.Model.create ~graph ~timing:config.Config.timing ?distance ~priorities
+                   dag)
             in
             Ok
               {

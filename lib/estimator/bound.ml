@@ -25,11 +25,8 @@ type t = {
   placement_us : float option;
   lower_bound_us : float;
   kind : kind;
+  ancestor_visits : int;
 }
-
-(* Ancestor bitsets are quadratic in the instruction count; past this the
-   placement bound falls back to travel-only releases (still admissible). *)
-let max_ancestor_nodes = 4096
 
 (* Release-time propagation: est(i) >= release(i) and
    est(i) >= est(p) + delay(p) for every QIDG predecessor p.  Any legal
@@ -50,6 +47,24 @@ let propagate ~delay nodes release =
     nodes;
   !finish
 
+(* Ancestor gate work per operand, W_q(i): the summed delay of the QIDG
+   ancestors of [i] that touch qubit [q].  They all finish before [i]
+   starts and pairwise share ion [q], hence run serially.  The QIDG's
+   read/write hazards ({!Qasm.Dag}) make the set cheap to name:
+
+   - every q-gate before q's last writer W is an ancestor of W, so when
+     [i] writes q, or reads it after W, all q-gates up to W count — a
+     per-qubit prefix sum in id order;
+   - when [i] writes q it also depends on every reader of q since W, so
+     all earlier q-gates count;
+   - when [i] reads q (a control), the co-readers of q since W are
+     ancestors only if some other path reaches [i].  A backward search over
+     preds, restricted to ids >= the oldest co-reader (every path from it
+     stays there), stamps them.
+
+   Summing the prefix and then the reached co-readers in ascending id adds
+   exactly the terms an id-ordered walk of the full ancestor set would, in
+   the same order, so the value is bit-for-bit that sum. *)
 let placement_bound ~delay ~timing ~dist ~pl nodes nq =
   let n = Array.length nodes in
   if Array.length pl < nq then
@@ -59,48 +74,64 @@ let placement_bound ~delay ~timing ~dist ~pl nodes nq =
     if pl.(q) < 0 || pl.(q) >= ntraps then
       invalid_arg "Estimator.Bound.compute: placement names a trap outside the distance tables"
   done;
-  (* anc.(i) = QIDG ancestors of node i, as a bitset over node ids. *)
-  let anc =
-    if n > max_ancestor_nodes then None
-    else begin
-      let anc = Array.init n (fun _ -> Ion_util.Bitv.create n) in
-      Array.iter
-        (fun (nd : D.node) ->
-          List.iter
-            (fun p ->
-              Ion_util.Bitv.or_into ~dst:anc.(nd.D.id) ~src:anc.(p);
-              Ion_util.Bitv.set anc.(nd.D.id) p true)
-            nd.D.preds)
-        nodes;
-      Some anc
-    end
+  let prefix = Array.make nq 0.0 (* all q-gates so far *)
+  and at_writer = Array.make nq 0.0 (* q-gates up to q's last writer *)
+  and readers = Array.make nq [] (* q's readers since that writer, newest first *)
+  and ctrl = Array.make n (-1) (* control qubit of each two-qubit gate *)
+  and stamp = Array.make n (-1)
+  and stack = Array.make (max n 1) 0
+  and visits = ref 0 in
+  let touch q d = if d > 0.0 then prefix.(q) <- prefix.(q) +. d in
+  let write q d =
+    touch q d;
+    at_writer.(q) <- prefix.(q);
+    readers.(q) <- []
   in
-  (* w i q: gate time of ancestors of i touching qubit q.  They all finish
-     before i starts, and they pairwise share ion q, hence run serially. *)
-  let w =
-    match anc with
-    | None -> fun _ _ -> 0.0
-    | Some anc ->
-        fun i q ->
-          let acc = ref 0.0 in
-          Ion_util.Bitv.iter_set anc.(i) (fun a ->
-              let d = delay nodes.(a).D.instr in
-              if d > 0.0 && List.mem q (Qasm.Instr.qubits nodes.(a).D.instr) then acc := !acc +. d);
-          !acc
+  let read_work i q =
+    match readers.(q) with
+    | [] -> at_writer.(q)
+    | rs ->
+        (* stamp the ancestors of i with id >= lo, stopping once every
+           co-reader is found *)
+        let lo = List.fold_left Int.min i rs in
+        let missing = ref (List.length rs) and sp = ref 0 in
+        let push p =
+          if p >= lo && stamp.(p) <> i then begin
+            stamp.(p) <- i;
+            incr visits;
+            if ctrl.(p) = q then decr missing;
+            stack.(!sp) <- p;
+            incr sp
+          end
+        in
+        List.iter push nodes.(i).D.preds;
+        while !missing > 0 && !sp > 0 do
+          decr sp;
+          List.iter push nodes.(stack.(!sp)).D.preds
+        done;
+        List.fold_left
+          (fun acc r ->
+            let d = delay nodes.(r).D.instr in
+            if d > 0.0 && stamp.(r) = i then acc +. d else acc)
+          at_writer.(q) (List.rev rs)
   in
   let t_move = timing.Timing.t_move in
   let release = Array.make n 0.0 in
   Array.iter
     (fun (nd : D.node) ->
+      let i = nd.D.id in
+      let d = delay nd.D.instr in
       match nd.D.instr with
-      | Qasm.Instr.Qubit_decl _ -> ()
-      | Qasm.Instr.Gate1 (_, q) -> release.(nd.D.id) <- w nd.D.id q
+      | Qasm.Instr.Qubit_decl { qubit; _ } -> write qubit d
+      | Qasm.Instr.Gate1 (_, q) ->
+          release.(i) <- prefix.(q);
+          write q d
       | Qasm.Instr.Gate2 (_, a, b) ->
           (* The gate runs in some trap m; each operand must first spend its
              ancestor gate time and then at least the shortest-path travel
              from its initial trap to m (a route's cumulative cost can only
              exceed the table distance).  Minimize over the unknown m. *)
-          let wa = w nd.D.id a and wb = w nd.D.id b in
+          let wa = read_work i a and wb = prefix.(b) in
           let pa = pl.(a) and pb = pl.(b) in
           let best = ref infinity in
           for m = 0 to ntraps - 1 do
@@ -111,9 +142,13 @@ let placement_bound ~delay ~timing ~dist ~pl nodes nq =
             in
             if c < !best then best := c
           done;
-          release.(nd.D.id) <- !best)
+          release.(i) <- !best;
+          ctrl.(i) <- a;
+          touch a d;
+          readers.(a) <- i :: readers.(a);
+          write b d)
     nodes;
-  propagate ~delay nodes release
+  (propagate ~delay nodes release, !visits)
 
 let compute ?placement ?distance ~timing ~num_traps dag =
   let delay = Timing.gate_delay timing in
@@ -137,11 +172,12 @@ let compute ?placement ?distance ~timing ~num_traps dag =
     if g2 = 0 || slots <= 0 then 0.0
     else float_of_int g2 *. timing.Timing.t_gate2 /. float_of_int slots
   in
-  let placement_us =
+  let placement_us, ancestor_visits =
     match (placement, distance) with
     | Some pl, Some dist when Array.length nodes > 0 ->
-        Some (placement_bound ~delay ~timing ~dist ~pl nodes nq)
-    | _ -> None
+        let p, visits = placement_bound ~delay ~timing ~dist ~pl nodes nq in
+        (Some p, visits)
+    | _ -> (None, 0)
   in
   let candidates =
     [
@@ -158,7 +194,15 @@ let compute ?placement ?distance ~timing ~num_traps dag =
     | Some (k, _) -> k
     | None -> Critical_path
   in
-  { critical_path_us; serialization_us; capacity_us; placement_us; lower_bound_us; kind }
+  {
+    critical_path_us;
+    serialization_us;
+    capacity_us;
+    placement_us;
+    lower_bound_us;
+    kind;
+    ancestor_visits;
+  }
 
 type infeasibility = {
   inf_qubits : int;

@@ -25,6 +25,8 @@
       initial traps to some common trap, where travel is bounded below by
       the turn-aware shortest-path {!Distance} tables.  Releases are
       propagated through the QIDG, so this bound dominates critical-path.
+      The ancestor gate work is computed at every program size (there is
+      no size cutoff) and can raise the bound above travel alone.
 
     The {!kind} vocabulary also names the exact branch-and-bound optimum
     ([Exact]) produced by [Analysis.Bound] so every surface (certificates,
@@ -46,6 +48,9 @@ type t = {
   placement_us : float option;  (** [None] without a placement + tables *)
   lower_bound_us : float;  (** the max of the bounds above *)
   kind : kind;  (** which bound attains [lower_bound_us] (first in catalog order on ties) *)
+  ancestor_visits : int;
+      (** exact work counter: nodes the placement bound's co-reader
+          searches visited ([0] without a placement) *)
 }
 
 val compute :
@@ -59,6 +64,13 @@ val compute :
     ([placement.(q)] = qubit [q]'s initial trap) and [distance] tables built
     at this timing's turn cost; it is omitted otherwise.  A pure function of
     its arguments — bit-identical across jobs widths and call sites.
+
+    Cost: O(n + e) for the QIDG's [n] nodes and [e] edges, plus O(traps)
+    per two-qubit gate, plus [ancestor_visits].  The ancestor work of each
+    operand comes from per-qubit prefix sums in id order; only a control
+    operand read since its qubit's last writer searches backwards, over
+    ancestors no older than the oldest co-reader of that control, and stops
+    once every co-reader is found.  No n×n structure is built.
     @raise Invalid_argument when [placement] is shorter than the program's
     qubit count or names a trap outside the tables. *)
 

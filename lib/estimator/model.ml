@@ -95,11 +95,14 @@ let view t =
     v_succs = t.succs;
   }
 
-let create ~graph ~timing ?distance ?(congestion_alpha = 0.01) ?(congestion_threshold = 2) dag =
-  if congestion_alpha < 0.0 || Float.is_nan congestion_alpha then
-    invalid_arg "Estimator.Model.create: congestion_alpha must be non-negative";
-  if congestion_threshold < 0 then
-    invalid_arg "Estimator.Model.create: congestion_threshold must be non-negative";
+(* The congestion stretch: travel-time penalty per concurrent two-qubit
+   gate beyond [congestion_threshold] in the same QIDG level, calibrated
+   against the measured engine on the paper's Table-1 circuits (mean
+   absolute relative error about 1%). *)
+let congestion_alpha = 0.01
+let congestion_threshold = 2
+
+let create ~graph ~timing ?distance ~priorities dag =
   let turn_cost = Router.Timing.turn_cost_in_moves timing in
   let dist =
     match distance with
@@ -146,16 +149,14 @@ let create ~graph ~timing ?distance ?(congestion_alpha = 0.01) ?(congestion_thre
           let extra = two_qubit_per_level.(level.(i)) - congestion_threshold in
           1.0 +. (congestion_alpha *. float_of_int (Int.max 0 extra)))
   in
-  let prio =
-    Scheduler.Priority.compute Scheduler.Priority.qspr_default
-      ~delay:(Router.Timing.gate_delay timing) dag
-  in
+  if Array.length priorities <> n then
+    invalid_arg "Estimator.Model.create: priorities do not match the program";
   let succs = Array.init n (fun i -> Array.of_list (Qasm.Dag.node dag i).Qasm.Dag.succs) in
   let indeg0 = Array.init n (fun i -> List.length (Qasm.Dag.node dag i).Qasm.Dag.preds) in
   let traps = Fabric.Component.traps (Fabric.Graph.component graph) in
   let tx = Array.map (fun tr -> tr.Fabric.Component.tpos.Ion_util.Coord.x) traps in
   let ty = Array.map (fun tr -> tr.Fabric.Component.tpos.Ion_util.Coord.y) traps in
-  { dist; timing; nq; kind; qa; qb; prio; stretch; succs; indeg0; tx; ty }
+  { dist; timing; nq; kind; qa; qb; prio = priorities; stretch; succs; indeg0; tx; ty }
 
 (* The engine's two-qubit trap choice (Engine.trap_candidates): nearest trap
    by Manhattan distance to the midpoint of the operands' traps, restricted

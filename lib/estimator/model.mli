@@ -28,22 +28,22 @@ val create :
   graph:Fabric.Graph.t ->
   timing:Router.Timing.t ->
   ?distance:Distance.t ->
-  ?congestion_alpha:float ->
-  ?congestion_threshold:int ->
+  priorities:float array ->
   Qasm.Dag.t ->
   t
-(** Builds the distance tables (one Dijkstra per trap), the engine's issue
-    priorities and the per-level two-qubit gate census of the QIDG.
-    [distance] supplies prebuilt tables instead (the expensive per-fabric
-    half — the service batch path shares one set across all jobs on a
-    fabric); it must have been built on the same fabric at this timing's
-    turn cost.  [congestion_alpha] (default [0.01]) is the fractional
-    travel-time penalty per concurrent two-qubit gate beyond
-    [congestion_threshold] (default [2]) in the same level; the defaults
-    are calibrated against the measured engine on the paper's Table-1
-    circuits (mean absolute relative error about 1%).
-    @raise Invalid_argument on a negative alpha or threshold, or a
-    [distance] that doesn't match the graph and timing. *)
+(** Builds the distance tables (one Dijkstra per trap) and the per-level
+    two-qubit gate census of the QIDG.  [priorities] are the engine's issue
+    priorities for this program ([Scheduler.Priority.qspr_default] at this
+    timing's gate delays — the mapper passes the array it already holds;
+    kept, not copied).  [distance] supplies prebuilt tables instead (the
+    expensive per-fabric half — the service batch path shares one set
+    across all jobs on a fabric); it must have been built on the same
+    fabric at this timing's turn cost.  The congestion stretch is a fixed
+    1% travel-time penalty per concurrent two-qubit gate beyond two in the
+    same level, calibrated against the measured engine on the paper's
+    Table-1 circuits (mean absolute relative error about 1%).
+    @raise Invalid_argument on a [distance] that doesn't match the graph
+    and timing, or [priorities] of the wrong length. *)
 
 val distance : t -> Distance.t
 val num_qubits : t -> int

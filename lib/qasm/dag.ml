@@ -94,19 +94,47 @@ let critical_path ~delay t =
   if num_nodes t = 0 then 0.0
   else Array.fold_left Float.max 0.0 (longest_to_sink ~delay t)
 
+(* SWAR popcount of a non-negative int below 2^62: byte sums land in the
+   top byte of the product (the wrap at 63 bits cannot reach a sum <= 62). *)
+let popcount62 x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
+
 let dependents t =
   let n = num_nodes t in
-  (* transitive successor counts via bitsets, swept backward over the
-     topological order *)
-  let reach = Array.init n (fun _ -> Ion_util.Bitv.create n) in
-  for i = n - 1 downto 0 do
-    List.iter
-      (fun s ->
-        Ion_util.Bitv.set reach.(i) s true;
-        Ion_util.Bitv.or_into ~dst:reach.(i) ~src:reach.(s))
-      t.nodes.(i).succs
+  let deps = Array.make n 0 in
+  (* successor lists flattened once; each list is in ascending id order *)
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun nd -> start.(nd.id + 1) <- List.length nd.succs) t.nodes;
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
   done;
-  Array.map Ion_util.Bitv.popcount reach
+  let succ = Array.make start.(n) 0 in
+  Array.iter (fun nd -> List.iteri (fun k s -> succ.(start.(nd.id) + k) <- s) nd.succs) t.nodes;
+  (* Blocked backward sweep: for 62 consecutive target ids [lo, hi) at a
+     time, mask.(i) is the set of block ids reachable from i.  Ids are
+     topological, so nothing at or above [hi] reaches the block and one
+     backward pass over [0, hi) fills the masks. *)
+  let block = 62 in
+  let mask = Array.make n 0 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + block) in
+    for i = hi - 1 downto 0 do
+      let m = ref 0 and k = ref start.(i) in
+      while !k < start.(i + 1) && succ.(!k) < hi do
+        let s = succ.(!k) in
+        m := !m lor mask.(s) lor (if s >= !lo then 1 lsl (s - !lo) else 0);
+        incr k
+      done;
+      mask.(i) <- !m;
+      deps.(i) <- deps.(i) + popcount62 !m
+    done;
+    lo := hi
+  done;
+  deps
 
 let asap_times ~delay t =
   let n = num_nodes t in

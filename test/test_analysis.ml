@@ -411,6 +411,69 @@ let test_certify_digest_tracks_trace () =
   in
   check_bool "digest sensitive" false (Int64.equal d1 (Certify.digest_trace shifted))
 
+(* The digest rendering as first written, through the format
+   interpreter.  The direct renderer must produce the same bytes. *)
+let printf_render buf cmd =
+  let module Coord = Ion_util.Coord in
+  match cmd with
+  | Router.Micro.Move { qubit; from_; to_; start; finish } ->
+      Printf.bprintf buf "M%d %d,%d>%d,%d %h %h\n" qubit from_.Coord.x from_.Coord.y to_.Coord.x
+        to_.Coord.y start finish
+  | Router.Micro.Turn { qubit; at; start; finish } ->
+      Printf.bprintf buf "T%d %d,%d %h %h\n" qubit at.Coord.x at.Coord.y start finish
+  | Router.Micro.Gate_start { instr_id; trap; qubits; time } ->
+      Printf.bprintf buf "G+%d %d,%d [%s] %h\n" instr_id trap.Coord.x trap.Coord.y
+        (String.concat "," (List.map string_of_int qubits))
+        time
+  | Router.Micro.Gate_end { instr_id; trap; qubits; time } ->
+      Printf.bprintf buf "G-%d %d,%d [%s] %h\n" instr_id trap.Coord.x trap.Coord.y
+        (String.concat "," (List.map string_of_int qubits))
+        time
+
+(* times: exact zeros of both signs, engine-like fractions, huge and tiny
+   magnitudes, and the non-finite values *)
+let gen_time =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; 1e300; 5e-324; max_float ];
+        map (fun k -> float_of_int k *. 0.5) (int_bound 1_000_000);
+        map (fun k -> float_of_int k /. 3.0) (int_bound 1_000_000);
+        float;
+      ])
+
+let gen_command =
+  QCheck.Gen.(
+    let coord = map2 Ion_util.Coord.make (int_range (-5) 200) (int_range (-5) 200) in
+    let small = oneof [ int_range (-3) 5000; oneofl [ min_int; max_int; -10; 10; 0 ] ] in
+    oneof
+      [
+        map2
+          (fun (qubit, from_, to_) (start, finish) ->
+            Router.Micro.Move { qubit; from_; to_; start; finish })
+          (triple small coord coord) (pair gen_time gen_time);
+        map2
+          (fun (qubit, at) (start, finish) -> Router.Micro.Turn { qubit; at; start; finish })
+          (pair small coord) (pair gen_time gen_time);
+        map3
+          (fun (instr_id, trap) qubits time ->
+            Router.Micro.Gate_start { instr_id; trap; qubits; time })
+          (pair small coord) (list_size (0 -- 3) small) gen_time;
+        map3
+          (fun (instr_id, trap) qubits time ->
+            Router.Micro.Gate_end { instr_id; trap; qubits; time })
+          (pair small coord) (list_size (0 -- 3) small) gen_time;
+      ])
+
+let prop_render_matches_printf =
+  QCheck.Test.make ~name:"digest renderer bytes equal the Printf rendering" ~count:500
+    (QCheck.make (QCheck.Gen.list_size QCheck.Gen.(0 -- 20) gen_command))
+    (fun cmds ->
+      let direct = Buffer.create 256 and reference = Buffer.create 256 in
+      List.iter (Certify.render_command direct) cmds;
+      List.iter (printf_render reference) cmds;
+      Buffer.contents direct = Buffer.contents reference)
+
 (* --------------------------------------------------------- determinism *)
 
 let test_determinism_clean_on_pool_paths () =
@@ -515,6 +578,7 @@ let () =
           Alcotest.test_case "rejects early gate" `Quick test_certify_rejects_early_gate;
           Alcotest.test_case "rejects overfull trap" `Quick test_certify_rejects_overfull_trap;
           Alcotest.test_case "digest tracks trace" `Quick test_certify_digest_tracks_trace;
+          QCheck_alcotest.to_alcotest prop_render_matches_printf;
         ] );
       ( "determinism",
         [

@@ -254,6 +254,146 @@ let test_exact_guards () =
   check_int "declined exact audit still clean" 0
     (Analysis.Finding.count Analysis.Finding.Error r.Analysis.Bound.findings)
 
+(* The placement bound as first written: one ancestor bitset per QIDG
+   node, the operand's ancestor gate work summed over the set bits in id
+   order ([ancestors:false] keeps travel only).  The prefix-sum
+   implementation must reproduce it bit for bit. *)
+let reference_placement_us ?(ancestors = true) ~timing ~dist ~pl dag =
+  let module D = Qasm.Dag in
+  let module Bitv = Ion_util.Bitv in
+  let delay = Router.Timing.gate_delay timing in
+  let nodes = D.nodes dag in
+  let n = Array.length nodes in
+  let anc = Array.init n (fun _ -> Bitv.create (if ancestors then n else 0)) in
+  if ancestors then
+    Array.iter
+      (fun (nd : D.node) ->
+        List.iter
+          (fun p ->
+            Bitv.or_into ~dst:anc.(nd.D.id) ~src:anc.(p);
+            Bitv.set anc.(nd.D.id) p true)
+          nd.D.preds)
+      nodes;
+  let w i q =
+    let acc = ref 0.0 in
+    Bitv.iter_set anc.(i) (fun a ->
+        let d = delay nodes.(a).D.instr in
+        if d > 0.0 && List.mem q (Qasm.Instr.qubits nodes.(a).D.instr) then acc := !acc +. d);
+    !acc
+  in
+  let ntraps = Estimator.Distance.num_traps dist in
+  let t_move = timing.Router.Timing.t_move in
+  let release =
+    Array.map
+      (fun (nd : D.node) ->
+        match nd.D.instr with
+        | Qasm.Instr.Qubit_decl _ -> 0.0
+        | Qasm.Instr.Gate1 (_, q) -> w nd.D.id q
+        | Qasm.Instr.Gate2 (_, a, b) ->
+            let wa = w nd.D.id a and wb = w nd.D.id b in
+            let best = ref infinity in
+            for m = 0 to ntraps - 1 do
+              let c =
+                Float.max
+                  (wa +. (Estimator.Distance.between dist pl.(a) m *. t_move))
+                  (wb +. (Estimator.Distance.between dist pl.(b) m *. t_move))
+              in
+              if c < !best then best := c
+            done;
+            !best)
+      nodes
+  in
+  let est = Array.make n 0.0 and finish = ref 0.0 in
+  Array.iter
+    (fun (nd : D.node) ->
+      let r =
+        List.fold_left
+          (fun acc p -> Float.max acc (est.(p) +. delay nodes.(p).D.instr))
+          release.(nd.D.id) nd.D.preds
+      in
+      est.(nd.D.id) <- r;
+      finish := Float.max !finish (r +. delay nd.D.instr))
+    nodes;
+  !finish
+
+let timing = Router.Timing.paper
+
+let machine45 =
+  lazy
+    (match Fabric.Component.extract (Lazy.force fabric45) with
+    | Error e -> Alcotest.fail e
+    | Ok comp ->
+        let graph = Fabric.Graph.build comp in
+        (comp, Estimator.Distance.build graph ~turn_cost:(Router.Timing.turn_cost_in_moves timing)))
+
+let placement_us ~dist ~pl dag =
+  let b =
+    Estimator.Bound.compute ~placement:pl ~distance:dist ~timing
+      ~num_traps:(Estimator.Distance.num_traps dist) dag
+  in
+  Option.get b.Estimator.Bound.placement_us
+
+(* A witness that the ancestor term matters: on the 40-qubit, 2k-gate
+   random Clifford program with center placement, operands' earlier gate
+   work raises the placement bound above travel alone. *)
+let test_ancestor_term_witness () =
+  let p =
+    Circuits.Library.random_clifford (Ion_util.Rng.derive 1 ~index:1) ~num_qubits:40 ~gates:2000
+  in
+  let comp, dist = Lazy.force machine45 in
+  let pl = Placer.Center.place comp ~num_qubits:40 in
+  let dag = Qasm.Dag.of_program p in
+  let bits x = Printf.sprintf "%h" x in
+  Alcotest.(check string) "placement bound" (bits 0x1.9558p+13) (bits (placement_us ~dist ~pl dag));
+  Alcotest.(check string)
+    "bitset reference" (bits 0x1.9558p+13)
+    (bits (reference_placement_us ~timing ~dist ~pl dag));
+  Alcotest.(check string)
+    "travel-only is lower" (bits 0x1.952p+13)
+    (bits (reference_placement_us ~ancestors:false ~timing ~dist ~pl dag))
+
+(* Random programs with a tunable hub: with probability [hub]/10 a
+   two-qubit gate's control is qubit 0, so one control collects long runs
+   of co-readers between its writers — the case the backward co-reader
+   search exists for. *)
+let gen_bound_case =
+  QCheck.Gen.(
+    let* nq = 2 -- 20 in
+    let* ngates = 0 -- 300 in
+    let* hub = 0 -- 10 in
+    let* ops = list_repeat ngates (triple (int_bound 9) (int_bound 1000) (int_bound 1000)) in
+    let* seed = int_bound 1_000_000 in
+    let b = Qasm.Program.builder ~name:"hub" () in
+    let qs = Array.init nq (fun i -> Qasm.Program.add_qubit b (Printf.sprintf "q%d" i)) in
+    List.iter
+      (fun (kind, x, y) ->
+        let q = x mod nq in
+        if kind < 3 then
+          let g = match kind with 0 -> Qasm.Gate.H | 1 -> Qasm.Gate.S | _ -> Qasm.Gate.X in
+          Qasm.Program.add_gate1 b g qs.(q)
+        else
+          let c = if y mod 10 < hub then 0 else q in
+          let t = (c + 1 + (y mod (nq - 1))) mod nq in
+          Qasm.Program.add_gate2 b (if kind < 6 then Qasm.Gate.CX else Qasm.Gate.CZ) qs.(c) qs.(t))
+      ops;
+    return (Qasm.Program.build_exn b, seed))
+
+let prop_bound_matches_bitset_reference =
+  QCheck.Test.make ~name:"prefix-sum placement bound equals the bitset reference bitwise"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (p, seed) -> Printf.sprintf "seed %d\n%s" seed (Qasm.Printer.to_string p))
+       gen_bound_case)
+    (fun (p, seed) ->
+      let comp, dist = Lazy.force machine45 in
+      let nq = Qasm.Program.num_qubits p in
+      let pl = Placer.Center.place_permuted (Ion_util.Rng.create seed) comp ~num_qubits:nq in
+      let dag = Qasm.Dag.of_program p in
+      Qasm.Dag.num_nodes dag = 0
+      || Int64.equal
+           (Int64.bits_of_float (placement_us ~dist ~pl dag))
+           (Int64.bits_of_float (reference_placement_us ~timing ~dist ~pl dag)))
+
 let () =
   Alcotest.run "bound"
     [
@@ -262,6 +402,9 @@ let () =
           Alcotest.test_case "admissible for every placer on every Table-1 circuit" `Slow
             test_bounds_admissible_all_placers;
           Alcotest.test_case "bit-identical across job counts" `Quick test_bounds_jobs_identical;
+          Alcotest.test_case "ancestor term raises the placement bound" `Quick
+            test_ancestor_term_witness;
+          QCheck_alcotest.to_alcotest prop_bound_matches_bitset_reference;
         ] );
       ( "certify",
         [

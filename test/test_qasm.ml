@@ -488,6 +488,44 @@ let test_metrics_pp () =
   let m = Metrics.of_program (fig3_program ()) in
   check_bool "printable" true (String.length (Format.asprintf "%a" Metrics.pp m) > 0)
 
+(* Dependents as first written: one transitive-successor bitset per node,
+   swept backward.  The blocked sweep must count exactly the same. *)
+let reference_dependents g =
+  let n = Dag.num_nodes g in
+  let reach = Array.init n (fun _ -> Ion_util.Bitv.create n) in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun s ->
+        Ion_util.Bitv.set reach.(i) s true;
+        Ion_util.Bitv.or_into ~dst:reach.(i) ~src:reach.(s))
+      (Dag.node g i).Dag.succs
+  done;
+  Array.map Ion_util.Bitv.popcount reach
+
+(* Node counts from 2 to ~250 straddle the 62-id block edge several times;
+   few qubits make long dependence chains, many make wide fan-out. *)
+let gen_block_program =
+  QCheck.Gen.(
+    let* nq = 2 -- 12 in
+    let* ngates = 0 -- 240 in
+    let* ops = list_repeat ngates (pair (int_bound 1000) (int_bound 1000)) in
+    let b = Program.builder ~name:"blocks" () in
+    let qs = Array.init nq (fun i -> Program.add_qubit b (Printf.sprintf "q%d" i)) in
+    List.iter
+      (fun (a, c) ->
+        let qa = qs.(a mod nq) and qc = qs.(c mod nq) in
+        if qa = qc || a mod 4 = 0 then Program.add_gate1 b Gate.H qa
+        else Program.add_gate2 b Gate.CX qa qc)
+      ops;
+    return (Program.build_exn b))
+
+let prop_dependents_match_reference =
+  QCheck.Test.make ~name:"blocked dependents equal the bitset reference" ~count:300
+    (QCheck.make ~print:Printer.to_string gen_block_program)
+    (fun p ->
+      let g = Dag.of_program p in
+      Dag.dependents g = reference_dependents g)
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "qasm"
@@ -560,5 +598,6 @@ let () =
               prop_critical_path_bounds;
               prop_reverse_preserves_critical_path;
               prop_parse_print_roundtrip;
+              prop_dependents_match_reference;
             ] );
     ]
